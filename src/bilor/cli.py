@@ -1,9 +1,15 @@
 """Command line front end.
 
-Every subcommand reads a form (``--form`` / ``--form-file``) unless it takes a
-raw matrix, and prints one canonical JSON object (``--format table`` renders
-the same data as indented text).  Exit status: 0 for data commands and passing
-verdicts, 1 for failing verdicts, 2 for usage or input errors.
+Every subcommand is one row of `COMMANDS`: its name, its help text (``None``
+hides it from the usage line and the help), its handler and its own
+arguments.  `build_parser` registers each row with ``--form`` /
+``--form-file`` ahead of those arguments, and `PUBLIC_COMMANDS` is read off
+the table.  A handler writes only its command's keys into the payload; those
+that read a form load it through `_form`, which also records ``convention``
+and ``form``.  `main` prints the payload as one canonical JSON object
+(``--format table`` renders the same data as indented text) and derives the
+exit status from it: 1 when the payload carries a top-level ``verdict`` that
+failed, 0 otherwise, and 2 for usage or input errors.
 """
 
 from __future__ import annotations
@@ -13,16 +19,12 @@ import json
 import os
 import sys
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from . import algebra, hessians, linalg, lorentzian, paths, stability, toeplitz
 from .errors import BilorError, FormatError
-from .forms import LinearForm, format_form, parse_form
+from .forms import LinearForm, format_form, from_monomial_coeffs, parse_form, substitute
 from .verdict import fmt_rat, parse_rational
-
-PUBLIC_COMMANDS = (
-    "classify,toeplitz,hessian,hrr,sl,mixed-hrr,hilbert,sperner,annihilator,"
-    "primitive,stable,normally-stable,pf,approximate,straighten"
-)
 
 
 def _env_int(name: str) -> int | None:
@@ -56,8 +58,7 @@ def _parse_points(text: str) -> list[tuple[Fraction, Fraction]]:
 
 
 def _parse_linear(text: str) -> LinearForm:
-    a, b = _parse_point(text)
-    return LinearForm(a, b)
+    return LinearForm(*_parse_point(text))
 
 
 def _parse_pointsets(text: str) -> dict[int, list[tuple[Fraction, Fraction]]]:
@@ -85,178 +86,119 @@ def _load_text(inline: str | None, path: str | None, what: str) -> str:
         raise FormatError(f"give exactly one of --{what} / --{what}-file")
     if inline is not None:
         return inline
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        raise FormatError(f"cannot read --{what}-file {path!r}: {reason}") from exc
 
 
-def _load_form(args):
-    return parse_form(_load_text(args.form, args.form_file, "form"))
+def _form(args, payload: dict):
+    """Load the form and record its input convention and canonical text."""
+    form, payload["convention"] = parse_form(_load_text(args.form, args.form_file, "form"))
+    payload["form"] = format_form(form)
+    return form
 
 
-def _matrix_json(rows) -> list[list[str]]:
+def _rat_rows(rows) -> list[list[str]]:
+    """A matrix, or a list of points, as rows of canonical rationals."""
     return [[fmt_rat(x) for x in row] for row in rows]
 
 
 def _render_table(value, indent=0) -> list[str]:
     pad = "  " * indent
-    lines: list[str] = []
     if isinstance(value, dict):
-        for k in sorted(value):
-            v = value[k]
-            if isinstance(v, (dict, list)) and v:
-                lines.append(f"{pad}{k}:")
-                lines.extend(_render_table(v, indent + 1))
-            else:
-                lines.append(f"{pad}{k}: {_scalar(v)}")
+        items = [(f"{k}:", value[k]) for k in sorted(value)]
     elif isinstance(value, list):
-        for item in value:
-            if isinstance(item, (dict, list)) and item:
-                lines.append(f"{pad}-")
-                lines.extend(_render_table(item, indent + 1))
-            else:
-                lines.append(f"{pad}- {_scalar(item)}")
+        items = [("-", item) for item in value]
     else:
-        lines.append(f"{pad}{_scalar(value)}")
+        return [pad + _scalar(value)]
+    lines: list[str] = []
+    for label, v in items:
+        if isinstance(v, (dict, list)) and v:
+            lines.append(pad + label)
+            lines.extend(_render_table(v, indent + 1))
+        else:
+            lines.append(f"{pad}{label} {_scalar(v)}")
     return lines
 
 
 def _scalar(v) -> str:
-    if v is None:
-        return "null"
-    if v is True:
-        return "true"
-    if v is False:
-        return "false"
-    if isinstance(v, list):
-        return "[]" if not v else json.dumps(v)
-    if isinstance(v, dict):
-        return "{}"
-    return str(v)
+    """A leaf: strings bare, anything else (numbers, null, booleans, empty
+    containers) as its JSON text."""
+    return v if isinstance(v, str) else json.dumps(v)
 
 
-def _emit(args, payload: dict) -> None:
-    if args.format == "table":
-        sys.stdout.write("\n".join(_render_table(payload)) + "\n")
-    else:
-        sys.stdout.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+def _json_line(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def cmd_classify(args) -> int:
-    form, conv = _load_form(args)
+def cmd_classify(args, payload: dict) -> None:
+    form = _form(args, payload)
     lc = lorentzian.classify(form, args.max_order, _minor_cap())
-    payload = {
-        "command": "classify",
-        "convention": conv,
-        "form": format_form(form),
-        "degree": form.degree,
-        "order": lc.order,
-        "order_strict": lc.order_strict,
-        "per_order": [
-            {
-                "order": i,
-                "strict": strict.to_json(),
-                "lorentzian": loose.to_json(),
-            }
-            for i, (strict, loose) in enumerate(lc.per_order)
-        ],
-    }
-    _emit(args, payload)
-    return 0
+    payload["degree"] = form.degree
+    payload["order"] = lc.order
+    payload["order_strict"] = lc.order_strict
+    payload["per_order"] = [
+        {"order": i, "strict": strict.to_json(), "lorentzian": loose.to_json()}
+        for i, (strict, loose) in enumerate(lc.per_order)
+    ]
 
 
-def cmd_toeplitz(args) -> int:
+def cmd_toeplitz(args, payload: dict) -> None:
     cap = _minor_cap()
-    payload: dict = {"command": "toeplitz"}
     if args.matrix is not None or args.matrix_file is not None:
         if args.form is not None or args.form_file is not None:
             raise FormatError("give a form or a matrix, not both")
-        dense = toeplitz.parse_matrix(
+        window = dense = toeplitz.parse_matrix(
             _load_text(args.matrix, args.matrix_file, "matrix")
         )
-        window = dense
     else:
-        form, conv = _load_form(args)
+        form = _form(args, payload)
         if args.order is None:
             raise FormatError("--order is required with a form input")
         window = toeplitz.from_form(form, args.order)
-        payload["convention"] = conv
-        payload["form"] = format_form(form)
         payload["order"] = args.order
         dense = window.to_dense()
-    payload["matrix"] = _matrix_json(dense)
+    payload["matrix"] = _rat_rows(dense)
     payload["rank"] = toeplitz.rank(dense)
     payload["totally_positive"] = toeplitz.is_totally_positive(window).to_json()
     payload["totally_nonnegative"] = toeplitz.is_totally_nonnegative(window, cap).to_json()
-    _emit(args, payload)
-    return 0
 
 
-def cmd_hessian(args) -> int:
-    form, conv = _load_form(args)
-    family = hessians.hessian_family(form, args.order)
+def cmd_hessian(args, payload: dict) -> None:
+    family = hessians.hessian_family(_form(args, payload), args.order)
     if (args.at is None) == (args.points is None):
         raise FormatError("give exactly one of --at / --points")
     if args.at is not None:
-        a, b = _parse_point(args.at)
-        matrix = hessians.evaluate_hessian(family, a, b)
-        mode = "ordinary"
-        points_json = [[fmt_rat(a), fmt_rat(b)]]
+        points = [_parse_point(args.at)]
+        matrix = hessians.evaluate_hessian(family, *points[0])
+        payload["mode"] = "ordinary"
     else:
-        pts = _parse_points(args.points)
-        matrix = hessians.evaluate_mixed_hessian(family, pts)
-        mode = "mixed"
-        points_json = [[fmt_rat(x), fmt_rat(y)] for x, y in pts]
-    payload = {
-        "command": "hessian",
-        "convention": conv,
-        "form": format_form(form),
-        "order": args.order,
-        "mode": mode,
-        "points": points_json,
-        "matrix": _matrix_json(matrix),
-        "det": fmt_rat(linalg.det(matrix)),
-        "reversal_det": fmt_rat(hessians.reversal_det(matrix)),
-        "signature": hessians.signature(matrix).to_json(),
-    }
-    _emit(args, payload)
-    return 0
+        points = _parse_points(args.points)
+        matrix = hessians.evaluate_mixed_hessian(family, points)
+        payload["mode"] = "mixed"
+    payload["order"] = args.order
+    payload["points"] = _rat_rows(points)
+    payload["matrix"] = _rat_rows(matrix)
+    payload["det"] = fmt_rat(linalg.det(matrix))
+    payload["reversal_det"] = fmt_rat(hessians.reversal_det(matrix))
+    payload["signature"] = hessians.signature(matrix).to_json()
 
 
-def _verdict_exit(args, payload: dict, verdict) -> int:
-    _emit(args, payload)
-    return 0 if verdict.passed else 1
-
-
-def cmd_hrr(args) -> int:
-    form, conv = _load_form(args)
+def cmd_hrr_or_sl(args, payload: dict) -> None:
+    """`hrr` and `sl`: the ordinary Hodge-Riemann or strong Lefschetz check at --ell."""
+    form = _form(args, payload)
     up_to = form.degree // 2 if args.up_to is None else args.up_to
-    v = algebra.check_hrr(form, up_to, _parse_linear(args.ell))
-    payload = {
-        "command": "hrr",
-        "convention": conv,
-        "form": format_form(form),
-        "ell": list(map(fmt_rat, _parse_linear(args.ell).point())),
-        "verdict": v.to_json(),
-    }
-    return _verdict_exit(args, payload, v)
+    check = algebra.check_hrr if args.command == "hrr" else algebra.check_sl
+    ell = _parse_linear(args.ell)
+    payload["ell"] = list(map(fmt_rat, ell.point()))
+    payload["verdict"] = check(form, up_to, ell).to_json()
 
 
-def cmd_sl(args) -> int:
-    form, conv = _load_form(args)
-    up_to = form.degree // 2 if args.up_to is None else args.up_to
-    v = algebra.check_sl(form, up_to, _parse_linear(args.ell))
-    payload = {
-        "command": "sl",
-        "convention": conv,
-        "form": format_form(form),
-        "ell": list(map(fmt_rat, _parse_linear(args.ell).point())),
-        "verdict": v.to_json(),
-    }
-    return _verdict_exit(args, payload, v)
-
-
-def cmd_mixed_hrr(args) -> int:
-    form, conv = _load_form(args)
+def cmd_mixed_hrr(args, payload: dict) -> None:
+    form = _form(args, payload)
     up_to = form.degree // 2 if args.up_to is None else args.up_to
     if (args.cone is None) == (args.at_points is None):
         raise FormatError("give exactly one of --cone / --at-points")
@@ -267,146 +209,71 @@ def cmd_mixed_hrr(args) -> int:
             if len(pts) != 2:
                 raise FormatError("--generators needs exactly two a,b pairs")
             generators = (LinearForm(*pts[0]), LinearForm(*pts[1]))
-        v = algebra.check_mixed_hrr_cone(
-            form, up_to, args.cone, generators, _minor_cap()
-        )
-        mode = {"cone": args.cone}
+        v = algebra.check_mixed_hrr_cone(form, up_to, args.cone, generators, _minor_cap())
+        payload["mode"] = {"cone": args.cone}
     else:
         sets = _parse_pointsets(args.at_points)
         v = algebra.check_mixed_hrr_at(form, up_to, sets)
-        mode = {
-            "points": {
-                str(j): [[fmt_rat(a), fmt_rat(b)] for a, b in pts]
-                for j, pts in sets.items()
-            }
-        }
-    payload = {
-        "command": "mixed-hrr",
-        "convention": conv,
-        "form": format_form(form),
-        "mode": mode,
-        "verdict": v.to_json(),
-    }
-    return _verdict_exit(args, payload, v)
+        payload["mode"] = {"points": {str(j): _rat_rows(pts) for j, pts in sets.items()}}
+    payload["verdict"] = v.to_json()
 
 
-def cmd_hilbert(args) -> int:
-    form, conv = _load_form(args)
-    prof = algebra.profile(form)
-    payload = {
-        "command": "hilbert",
-        "convention": conv,
-        "form": format_form(form),
-        "hilbert": list(prof.hilbert),
-        "sperner": prof.sperner,
-        "socle_degree": prof.socle_degree,
-    }
-    _emit(args, payload)
-    return 0
+def cmd_hilbert(args, payload: dict) -> None:
+    prof = algebra.profile(_form(args, payload))
+    payload["hilbert"] = list(prof.hilbert)
+    payload["sperner"] = prof.sperner
+    payload["socle_degree"] = prof.socle_degree
 
 
-def cmd_sperner(args) -> int:
-    form, conv = _load_form(args)
-    payload = {
-        "command": "sperner",
-        "convention": conv,
-        "form": format_form(form),
-        "sperner": algebra.profile(form).sperner,
-    }
-    _emit(args, payload)
-    return 0
+def cmd_sperner(args, payload: dict) -> None:
+    payload["sperner"] = algebra.profile(_form(args, payload)).sperner
 
 
-def cmd_annihilator(args) -> int:
-    form, conv = _load_form(args)
-    f1, f2 = algebra.annihilator_generators(form)
-    payload = {
-        "command": "annihilator",
-        "convention": conv,
-        "form": format_form(form),
-        "generators": [
-            {"degree": g.degree, "text": g.text(), "coeffs": [fmt_rat(c) for c in g.coeffs]}
-            for g in (f1, f2)
-        ],
-    }
-    _emit(args, payload)
-    return 0
+def cmd_annihilator(args, payload: dict) -> None:
+    payload["generators"] = [
+        {"degree": g.degree, "text": g.text(), "coeffs": [fmt_rat(c) for c in g.coeffs]}
+        for g in algebra.annihilator_generators(_form(args, payload))
+    ]
 
 
-def cmd_primitive(args) -> int:
-    form, conv = _load_form(args)
-    ells = _parse_points(args.ells) if args.ells else []
-    basis = algebra.primitive_subspace(
-        form,
-        args.degree,
-        _parse_linear(args.ell0),
-        [LinearForm(a, b) for a, b in ells],
-    )
-    payload = {
-        "command": "primitive",
-        "convention": conv,
-        "form": format_form(form),
-        "degree": basis.degree,
-        "basis": [[fmt_rat(x) for x in vec] for vec in basis.vectors],
-        "expected_dim": basis.expected_dim,
-        "matches": basis.matches,
-    }
-    _emit(args, payload)
-    return 0
+def cmd_primitive(args, payload: dict) -> None:
+    form = _form(args, payload)
+    ells = [LinearForm(a, b) for a, b in _parse_points(args.ells)]
+    basis = algebra.primitive_subspace(form, args.degree, _parse_linear(args.ell0), ells)
+    payload["degree"] = basis.degree
+    payload["basis"] = _rat_rows(basis.vectors)
+    payload["expected_dim"] = basis.expected_dim
+    payload["matches"] = basis.matches
 
 
-def cmd_stable(args) -> int:
-    form, conv = _load_form(args)
-    v = stability.is_stable(form)
-    roots = None
-    if not form.is_zero and all(x >= 0 for x in form.monomial_coeffs()):
-        rc = stability.count_roots(stability.dehomogenize(form), form.degree)
-        roots = rc.to_json()
-    payload = {
-        "command": "stable",
-        "convention": conv,
-        "form": format_form(form),
-        "verdict": v.to_json(),
-        "roots": roots,
-    }
-    return _verdict_exit(args, payload, v)
+def _root_count(form) -> dict | None:
+    """Root counts of the dehomogenization, when no monomial coefficient is negative."""
+    if form.is_zero or any(x < 0 for x in form.monomial_coeffs()):
+        return None
+    return stability.count_roots(stability.dehomogenize(form), form.degree).to_json()
 
 
-def cmd_normally_stable(args) -> int:
-    from .forms import from_monomial_coeffs
-
-    form, conv = _load_form(args)
-    v = stability.is_normally_stable(form)
-    tilde = from_monomial_coeffs(form.coeffs)
-    roots = None
-    if not form.is_zero and all(x >= 0 for x in form.coeffs):
-        rc = stability.count_roots(stability.dehomogenize(tilde), form.degree)
-        roots = rc.to_json()
-    payload = {
-        "command": "normally-stable",
-        "convention": conv,
-        "form": format_form(form),
-        "verdict": v.to_json(),
-        "roots": roots,
-    }
-    return _verdict_exit(args, payload, v)
+def cmd_stable(args, payload: dict) -> None:
+    form = _form(args, payload)
+    payload["verdict"] = stability.is_stable(form).to_json()
+    payload["roots"] = _root_count(form)
 
 
-def cmd_pf(args) -> int:
-    form, conv = _load_form(args)
-    v = stability.pf_window_check(form, args.window, _minor_cap())
-    payload = {
-        "command": "pf",
-        "convention": conv,
-        "form": format_form(form),
-        "window": args.window,
-        "verdict": v.to_json(),
-    }
-    return _verdict_exit(args, payload, v)
+def cmd_normally_stable(args, payload: dict) -> None:
+    form = _form(args, payload)
+    payload["verdict"] = stability.is_normally_stable(form).to_json()
+    # the companion form's monomial coefficients are the normalized ones
+    payload["roots"] = _root_count(from_monomial_coeffs(form.coeffs))
 
 
-def cmd_approximate(args) -> int:
-    form, conv = _load_form(args)
+def cmd_pf(args, payload: dict) -> None:
+    form = _form(args, payload)
+    payload["window"] = args.window
+    payload["verdict"] = stability.pf_window_check(form, args.window, _minor_cap()).to_json()
+
+
+def cmd_approximate(args, payload: dict) -> None:
+    form = _form(args, payload)
     epsilon = parse_rational(args.epsilon) if args.epsilon else None
     steps = lorentzian.approximate_tp(
         form,
@@ -416,69 +283,100 @@ def cmd_approximate(args) -> int:
         budget=_budget(),
         cap=_minor_cap(),
     )
-    payload = {
-        "command": "approximate",
-        "convention": conv,
-        "form": format_form(form),
-        "order": args.order,
-        "certified": True,
-        "steps": [
-            {
-                "form": format_form(st.form),
-                "distance": fmt_rat(st.distance),
-                "rank_steps": [[fmt_rat(t), fmt_rat(u)] for t, u in st.rank_steps],
-                "final_mix": None if st.final_mix is None else fmt_rat(st.final_mix),
-            }
-            for st in steps
-        ],
-    }
-    _emit(args, payload)
-    return 0
+    payload["order"] = args.order
+    payload["certified"] = True
+    payload["steps"] = [
+        {
+            "form": format_form(st.form),
+            "distance": fmt_rat(st.distance),
+            "rank_steps": _rat_rows(st.rank_steps),
+            "final_mix": None if st.final_mix is None else fmt_rat(st.final_mix),
+        }
+        for st in steps
+    ]
 
 
-def cmd_straighten(args) -> int:
-    from .forms import substitute
-
-    form, conv = _load_form(args)
+def cmd_straighten(args, payload: dict) -> None:
+    form = _form(args, payload)
     change = lorentzian.straighten_from_hrr(
         form, _parse_linear(args.ell), args.order, _budget()
     )
-    payload = {
-        "command": "straighten",
-        "convention": conv,
-        "form": format_form(form),
-        "order": args.order,
-        "change": {
-            "p": fmt_rat(change.p),
-            "q": fmt_rat(change.q),
-            "r": fmt_rat(change.r),
-            "s": fmt_rat(change.s),
-        },
-        "image": format_form(substitute(form, change)),
-        "certified": True,
-    }
-    _emit(args, payload)
-    return 0
+    payload["order"] = args.order
+    payload["change"] = {k: fmt_rat(getattr(change, k)) for k in "pqrs"}
+    payload["image"] = format_form(substitute(form, change))
+    payload["certified"] = True
 
 
-def cmd_verify_factorization(args) -> int:
-    form, conv = _load_form(args)
-    pts = _parse_points(args.points) if args.points else []
-    v = paths.verify_factorization(form, args.order, pts)
-    payload = {
-        "command": "verify-factorization",
-        "convention": conv,
-        "form": format_form(form),
-        "order": args.order,
-        "points": [[fmt_rat(a), fmt_rat(b)] for a, b in pts],
-        "verdict": v.to_json(),
-    }
-    return _verdict_exit(args, payload, v)
+def cmd_verify_factorization(args, payload: dict) -> None:
+    form = _form(args, payload)
+    pts = _parse_points(args.points)
+    payload["order"] = args.order
+    payload["points"] = _rat_rows(pts)
+    payload["verdict"] = paths.verify_factorization(form, args.order, pts).to_json()
 
 
-def _add_form_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--form", help="form text (see README for accepted shapes)")
-    p.add_argument("--form-file", help="file holding the form text")
+class Command(NamedTuple):
+    name: str
+    help: str | None  # None hides the command from the usage line and the help
+    handler: Callable[[argparse.Namespace, dict], None]
+    args: tuple = ()  # (flags, add_argument keywords) after --form / --form-file
+
+
+def _arg(*flags: str, **kwargs) -> tuple:
+    return flags, kwargs
+
+
+ORDER = _arg("--order", "--i", "-i", type=int, required=True)
+ELL = _arg("--ell", required=True, help="linear form a,b")
+UP_TO = _arg("--up-to", type=int)
+
+COMMANDS = (
+    Command("classify", "strict/non-strict Lorentzian order", cmd_classify,
+            (_arg("--max-order", type=int),)),
+    Command("toeplitz", "coefficient window, rank, TP/TN verdicts", cmd_toeplitz, (
+        _arg("--order", "--i", "-i", type=int),
+        _arg("--matrix", help="raw matrix text `a,b;c,d` instead of a form"),
+        _arg("--matrix-file"),
+    )),
+    Command("hessian", "Hessian matrix, determinants, signature", cmd_hessian, (
+        ORDER,
+        _arg("--at", help="single evaluation point a,b"),
+        _arg("--points", help="mixed evaluation points a,b;a,b;..."),
+    )),
+    Command("hrr", "ordinary Hodge-Riemann check at a linear form", cmd_hrr_or_sl,
+            (ELL, UP_TO)),
+    Command("sl", "strong Lefschetz check at a linear form", cmd_hrr_or_sl, (ELL, UP_TO)),
+    Command("mixed-hrr", "mixed Hodge-Riemann: cone-backed or point sets", cmd_mixed_hrr, (
+        UP_TO,
+        _arg("--cone", choices=("open", "closed")),
+        _arg("--generators", help="cone generators a,b;a,b (defaults to standard)"),
+        _arg("--at-points", help="per-degree points: 0=a,b;a,b|1=a,b"),
+    )),
+    Command("hilbert", "Hilbert function of the quotient algebra", cmd_hilbert),
+    Command("sperner", "largest value of the Hilbert function", cmd_sperner),
+    Command("annihilator", "the two annihilator generators", cmd_annihilator),
+    Command("primitive", "primitive subspace for given linear data", cmd_primitive, (
+        _arg("--degree", "--j", "-j", type=int, required=True),
+        _arg("--ell0", required=True, help="distinguished linear form a,b"),
+        _arg("--ells", default="", help="remaining linear forms a,b;a,b;..."),
+    )),
+    Command("stable", "homogeneous stability", cmd_stable),
+    Command("normally-stable", "stability of the normalized companion", cmd_normally_stable),
+    Command("pf", "total nonnegativity of all windows up to an order", cmd_pf,
+            (_arg("--window", type=int, required=True),)),
+    Command("approximate", "certified strictly-Lorentzian approximants", cmd_approximate, (
+        ORDER,
+        _arg("--steps", type=int),
+        _arg("--epsilon", help="target sup-norm distance (rational)"),
+    )),
+    Command("straighten", "coordinate change from a Hodge-Riemann witness", cmd_straighten,
+            (ELL, ORDER)),
+    # developer command: entrywise band factorization of the mixed Hessian
+    Command("verify-factorization", None, cmd_verify_factorization,
+            (ORDER, _arg("--points", default="", help="points a,b;a,b;... (d-2i of them)"))),
+)
+
+PUBLIC_COMMANDS = ",".join(c.name for c in COMMANDS if c.help is not None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -490,116 +388,31 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("json", "table"), default="json", help="output format"
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar=f"{{{PUBLIC_COMMANDS}}}")
-
-    p = sub.add_parser("classify", help="strict/non-strict Lorentzian order")
-    _add_form_args(p)
-    p.add_argument("--max-order", type=int, default=None)
-    p.set_defaults(handler=cmd_classify)
-
-    p = sub.add_parser("toeplitz", help="coefficient window, rank, TP/TN verdicts")
-    _add_form_args(p)
-    p.add_argument("--order", "--i", "-i", dest="order", type=int, default=None)
-    p.add_argument("--matrix", help="raw matrix text `a,b;c,d` instead of a form")
-    p.add_argument("--matrix-file")
-    p.set_defaults(handler=cmd_toeplitz)
-
-    p = sub.add_parser("hessian", help="Hessian matrix, determinants, signature")
-    _add_form_args(p)
-    p.add_argument("--order", "--i", "-i", dest="order", type=int, required=True)
-    p.add_argument("--at", help="single evaluation point a,b")
-    p.add_argument("--points", help="mixed evaluation points a,b;a,b;...")
-    p.set_defaults(handler=cmd_hessian)
-
-    p = sub.add_parser("hrr", help="ordinary Hodge-Riemann check at a linear form")
-    _add_form_args(p)
-    p.add_argument("--ell", required=True, help="linear form a,b")
-    p.add_argument("--up-to", type=int, default=None)
-    p.set_defaults(handler=cmd_hrr)
-
-    p = sub.add_parser("sl", help="strong Lefschetz check at a linear form")
-    _add_form_args(p)
-    p.add_argument("--ell", required=True, help="linear form a,b")
-    p.add_argument("--up-to", type=int, default=None)
-    p.set_defaults(handler=cmd_sl)
-
-    p = sub.add_parser("mixed-hrr", help="mixed Hodge-Riemann: cone-backed or point sets")
-    _add_form_args(p)
-    p.add_argument("--up-to", type=int, default=None)
-    p.add_argument("--cone", choices=("open", "closed"))
-    p.add_argument("--generators", help="cone generators a,b;a,b (defaults to standard)")
-    p.add_argument("--at-points", help="per-degree points: 0=a,b;a,b|1=a,b")
-    p.set_defaults(handler=cmd_mixed_hrr)
-
-    p = sub.add_parser("hilbert", help="Hilbert function of the quotient algebra")
-    _add_form_args(p)
-    p.set_defaults(handler=cmd_hilbert)
-
-    p = sub.add_parser("sperner", help="largest value of the Hilbert function")
-    _add_form_args(p)
-    p.set_defaults(handler=cmd_sperner)
-
-    p = sub.add_parser("annihilator", help="the two annihilator generators")
-    _add_form_args(p)
-    p.set_defaults(handler=cmd_annihilator)
-
-    p = sub.add_parser("primitive", help="primitive subspace for given linear data")
-    _add_form_args(p)
-    p.add_argument("--degree", "--j", "-j", dest="degree", type=int, required=True)
-    p.add_argument("--ell0", required=True, help="distinguished linear form a,b")
-    p.add_argument("--ells", default="", help="remaining linear forms a,b;a,b;...")
-    p.set_defaults(handler=cmd_primitive)
-
-    p = sub.add_parser("stable", help="homogeneous stability")
-    _add_form_args(p)
-    p.set_defaults(handler=cmd_stable)
-
-    p = sub.add_parser("normally-stable", help="stability of the normalized companion")
-    _add_form_args(p)
-    p.set_defaults(handler=cmd_normally_stable)
-
-    p = sub.add_parser("pf", help="total nonnegativity of all windows up to an order")
-    _add_form_args(p)
-    p.add_argument("--window", type=int, required=True)
-    p.set_defaults(handler=cmd_pf)
-
-    p = sub.add_parser("approximate", help="certified strictly-Lorentzian approximants")
-    _add_form_args(p)
-    p.add_argument("--order", "--i", "-i", dest="order", type=int, required=True)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--epsilon", default=None, help="target sup-norm distance (rational)")
-    p.set_defaults(handler=cmd_approximate)
-
-    p = sub.add_parser("straighten", help="coordinate change from a Hodge-Riemann witness")
-    _add_form_args(p)
-    p.add_argument("--ell", required=True, help="linear form a,b")
-    p.add_argument("--order", "--i", "-i", dest="order", type=int, required=True)
-    p.set_defaults(handler=cmd_straighten)
-
-    # developer command: entrywise band factorization of the mixed Hessian
-    p = sub.add_parser("verify-factorization")
-    _add_form_args(p)
-    p.add_argument("--order", "--i", "-i", dest="order", type=int, required=True)
-    p.add_argument("--points", default="", help="points a,b;a,b;... (d-2i of them)")
-    p.set_defaults(handler=cmd_verify_factorization)
-
+    for command in COMMANDS:
+        # argparse lists a subcommand in the help whenever `help` is passed at all
+        listed = {} if command.help is None else {"help": command.help}
+        p = sub.add_parser(command.name, **listed)
+        p.add_argument("--form", help="form text (see README for accepted shapes)")
+        p.add_argument("--form-file", help="file holding the form text")
+        for flags, kwargs in command.args:
+            p.add_argument(*flags, **kwargs)
+        p.set_defaults(handler=command.handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    payload = {"command": args.command}
     try:
-        return args.handler(args)
+        args.handler(args, payload)
     except BilorError as exc:
-        sys.stdout.write(
-            json.dumps(
-                {"error": {"code": exc.code, "message": str(exc)}},
-                sort_keys=True,
-                separators=(",", ":"),
-            )
-            + "\n"
-        )
+        sys.stdout.write(_json_line({"error": {"code": exc.code, "message": str(exc)}}))
         return 2
+    if args.format == "table":
+        sys.stdout.write("\n".join(_render_table(payload)) + "\n")
+    else:
+        sys.stdout.write(_json_line(payload))
+    return 1 if payload.get("verdict", {}).get("pass") is False else 0
 
 
 if __name__ == "__main__":

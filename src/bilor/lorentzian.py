@@ -195,10 +195,12 @@ def approximate_tp(
 
     Emits successive approximants with geometrically shrinking parameters
     until `steps` forms are produced and/or the coefficient distance drops
-    below `epsilon` (default: 8 steps).  The input must be i-Lorentzian and
-    nonzero; a strictly i-Lorentzian input is returned as its own (distance
-    zero) approximation.
+    below `epsilon` (default: 8 steps).  `steps`, when given, must be at least
+    1.  The input must be i-Lorentzian and nonzero; a strictly i-Lorentzian
+    input is returned as its own (distance zero) approximation.
     """
+    if steps is not None and steps < 1:
+        raise PreconditionError(f"steps must be at least 1, got {steps}")
     if form.is_zero:
         raise PreconditionError("cannot approximate the zero form")
     if not is_lorentzian(form, i, cap).passed:
@@ -206,7 +208,7 @@ def approximate_tp(
     epsilon = None if epsilon is None else Fraction(epsilon)
     if is_strictly_lorentzian(form, i).passed:
         step = ApproxStep(form, (), None, Fraction(0))
-        return [step] * (steps if steps else 1)
+        return [step] * (steps or 1)
     out: list[ApproxStep] = []
     scale = Fraction(1, 2)
     for _ in range(budget):

@@ -252,6 +252,30 @@ def test_form_file_input(capsys, tmp_path):
     assert via_file == direct
 
 
+@pytest.mark.parametrize("flag", ["--form-file", "--matrix-file"])
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+def test_unreadable_input_file_is_a_format_error(capsys, tmp_path, flag, kind):
+    path = tmp_path / "input.txt"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not-utf8":
+        path.write_bytes(b"\xff\xfe 1,2")
+    argv = ["toeplitz", flag, str(path)] + (["-i", "1"] if flag == "--form-file" else [])
+    code, doc = run_json(capsys, argv)
+    assert code == 2
+    assert doc["error"]["code"] == "format"
+    assert doc["error"]["message"].startswith(f"cannot read {flag} {str(path)!r}: ")
+
+
+@pytest.mark.parametrize("steps", ["0", "-2"])
+def test_approximate_needs_at_least_one_step(capsys, steps):
+    code, doc = run_json(
+        capsys, ["approximate", "--form", "3: 1,2,3,1", "-i", "1", "--steps", steps]
+    )
+    assert code == 2
+    assert doc["error"]["code"] == "precondition"
+
+
 def test_help_hides_the_factorization_probe(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["-h"])

@@ -172,6 +172,14 @@ def test_approximate_preconditions():
         approximate_tp(monomial(5, 5), 1, epsilon=Fraction(1, 2**20), budget=6)
 
 
+@pytest.mark.parametrize("steps", [0, -1])
+def test_approximate_rejects_fewer_than_one_step(steps):
+    # the strict input would otherwise return early with a repeated step
+    for form in (BivariateForm(3, [26, 17, 11, 7]), monomial(5, 5)):
+        with pytest.raises(PreconditionError):
+            approximate_tp(form, 1, steps=steps)
+
+
 def test_approximants_of_random_tn_forms_are_certified():
     rng = Random(303)
     done = 0
