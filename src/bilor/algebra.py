@@ -122,14 +122,8 @@ def linear_poly(ell: LinearForm) -> XYPoly:
 
 def _primitive_normal(vec) -> tuple[Fraction, ...]:
     """Scale a rational vector to coprime integers, lex-leading entry positive."""
-    den = 1
-    for x in vec:
-        q = Fraction(x).denominator
-        den = den * q // gcd(den, q)
-    ints = [int(Fraction(x) * den) for x in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
+    (ints,), _ = linalg.integer_rows([vec])
+    g = gcd(*ints)
     if g:
         ints = [v // g for v in ints]
     lead = next((v for v in reversed(ints) if v != 0), 0)
@@ -327,20 +321,17 @@ def check_mixed_hrr_cone(
     if not 0 <= i <= d // 2:
         raise DegreeError(f"order {i} out of range for degree {d}")
     if form.is_zero:
-        if cone == "open":
-            return HrrVerdict("mixedHRR", i, True, detail="zero form")
-        return HrrVerdict("mixedHRR", i, False, detail="zero form")
+        return HrrVerdict("mixedHRR", i, cone == "open", detail="zero form")
     g = form
     if generators is not None:
         g = substitute(form, CoordChange.from_generators(*generators))
     window = toeplitz.from_form(g, i)
     if cone == "closed":
-        ver = toeplitz.is_totally_positive_full(window, cap)
+        ver = toeplitz.is_totally_positive_graded(window, cap)
     else:
         ver = toeplitz.is_totally_nonnegative(window, cap)
-    if ver.passed:
-        return HrrVerdict("mixedHRR", i, True)
-    return HrrVerdict("mixedHRR", i, False, HrrFailure(minor=ver.witness))
+    failure = None if ver.passed else HrrFailure(minor=ver.witness)
+    return HrrVerdict("mixedHRR", i, ver.passed, failure)
 
 
 def quotient_by_colon(form, ell: LinearForm) -> BivariateForm:

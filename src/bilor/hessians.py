@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, perm
 
 from . import linalg, realpoly
 from .errors import DegreeError, NotSymmetricError, ShapeError
@@ -24,9 +24,6 @@ class HessianFamily:
     degree: int
     order: int
     base: tuple[tuple[tuple[Fraction, ...], ...], ...]
-
-    def base_matrix(self, m: int) -> Matrix:
-        return [list(row) for row in self.base[m]]
 
 
 @dataclass(frozen=True)
@@ -55,10 +52,15 @@ def hessian_family(form, order: int) -> HessianFamily:
     return HessianFamily(d, order, base)
 
 
-def _falling(n: int, k: int) -> int:
-    out = 1
-    for j in range(k):
-        out *= n - j
+def _combine(family: HessianFamily, weights, scale) -> Matrix:
+    """scale * sum_m weights[m] * H_m over the base matrices of the family."""
+    size = family.order + 1
+    out = [[Fraction(0)] * size for _ in range(size)]
+    for w, hm in zip(weights, family.base):
+        if w != 0:
+            for p in range(size):
+                for q in range(size):
+                    out[p][q] += scale * w * hm[p][q]
     return out
 
 
@@ -67,18 +69,8 @@ def evaluate_hessian(family: HessianFamily, a, b) -> Matrix:
     a, b = Fraction(a), Fraction(b)
     d, i = family.degree, family.order
     e = d - 2 * i
-    size = i + 1
-    out = [[Fraction(0)] * size for _ in range(size)]
-    scale = _falling(d, 2 * i)
-    for m in range(e + 1):
-        w = comb(e, m) * a**m * b ** (e - m)
-        if w == 0:
-            continue
-        hm = family.base[m]
-        for p in range(size):
-            for q in range(size):
-                out[p][q] += scale * w * hm[p][q]
-    return out
+    weights = [comb(e, m) * a**m * b ** (e - m) for m in range(e + 1)]
+    return _combine(family, weights, perm(d, 2 * i))
 
 
 def mixture_weights(points) -> list[Fraction]:
@@ -100,19 +92,7 @@ def evaluate_mixed_hessian(family: HessianFamily, points) -> Matrix:
     pts = [(Fraction(a), Fraction(b)) for a, b in points]
     if len(pts) != e:
         raise ShapeError(f"order {i} of degree {d} needs {e} points, got {len(pts)}")
-    w = mixture_weights(pts)
-    w += [Fraction(0)] * (e + 1 - len(w))
-    size = i + 1
-    out = [[Fraction(0)] * size for _ in range(size)]
-    scale = factorial(d)
-    for m in range(e + 1):
-        if w[m] == 0:
-            continue
-        hm = family.base[m]
-        for p in range(size):
-            for q in range(size):
-                out[p][q] += scale * w[m] * hm[p][q]
-    return out
+    return _combine(family, mixture_weights(pts), factorial(d))
 
 
 def reversal_det(matrix) -> Fraction:
@@ -122,8 +102,7 @@ def reversal_det(matrix) -> Fraction:
     convention under which the Hodge-Riemann determinants of a suitable form
     are positive.
     """
-    dense = linalg.copy_rows(matrix)
-    return linalg.det(list(reversed(dense)))
+    return linalg.det(list(reversed(matrix)))
 
 
 def signature(matrix) -> SignatureReport:

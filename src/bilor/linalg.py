@@ -8,7 +8,7 @@ rescaling of the input, so no floating point is involved anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm, prod
 
 from .errors import ShapeError
 
@@ -55,14 +55,6 @@ def is_symmetric(rows) -> bool:
     return all(rows[i][j] == rows[j][i] for i in range(m) for j in range(i))
 
 
-def _row_lcm(row) -> int:
-    d = 1
-    for x in row:
-        q = Fraction(x).denominator
-        d = d * q // gcd(d, q)
-    return d
-
-
 def integer_rows(rows) -> tuple[list[list[int]], list[int]]:
     """Clear denominators row by row.
 
@@ -72,8 +64,9 @@ def integer_rows(rows) -> tuple[list[list[int]], list[int]]:
     """
     out, scales = [], []
     for row in rows:
-        s = _row_lcm(row)
-        out.append([int(Fraction(x) * s) for x in row])
+        row = [Fraction(x) for x in row]
+        s = lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (s // x.denominator) for x in row])
         scales.append(s)
     return out, scales
 
@@ -110,13 +103,8 @@ def det(rows) -> Fraction:
     m, n = dims(rows)
     if m != n:
         raise ShapeError(f"determinant of non-square {m}x{n} matrix")
-    if n == 0:
-        return Fraction(1)
     irows, scales = integer_rows(rows)
-    scale = 1
-    for s in scales:
-        scale *= s
-    return Fraction(int_det(irows), scale)
+    return Fraction(int_det(irows), prod(scales))
 
 
 def minor(rows, row_idx, col_idx) -> Fraction:

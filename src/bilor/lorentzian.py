@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg, toeplitz
-from .errors import BudgetError, DegreeError, PreconditionError
+from . import toeplitz
+from .errors import BudgetError, PreconditionError
 from .forms import (
     BivariateForm,
     CoordChange,
@@ -35,25 +35,9 @@ def is_strictly_lorentzian(form: BivariateForm, i: int) -> Verdict:
     Determinants are scanned by size then by offset; a failing verdict
     carries the first non-positive one, located inside the order-i window.
     """
-    d = form.degree
-    if not 0 <= i <= d // 2:
-        raise DegreeError(f"order {i} out of range for degree {d}")
-    c = form.coeffs
-    detail = "zero form" if form.is_zero else None
-    for j in range(i + 1):
-        for m in range(d - 2 * j + 1):
-            sub = [
-                [c[m + j + q - p] for q in range(j + 1)] for p in range(j + 1)
-            ]
-            v = linalg.det(sub)
-            if v <= 0:
-                r = max(0, i - j - m)
-                s = m + j - i + r
-                witness = MinorWitness(
-                    tuple(range(r, r + j + 1)), tuple(range(s, s + j + 1)), v
-                )
-                return Verdict("strictly-lorentzian", False, witness, detail)
-    return Verdict("strictly-lorentzian", True)
+    found = toeplitz.consecutive_witness(toeplitz.from_form(form, i), by_offset=True)
+    detail = "zero form" if form.is_zero else None  # the zero form always fails
+    return Verdict("strictly-lorentzian", found is None, found, detail)
 
 
 def is_lorentzian(form: BivariateForm, i: int, cap: int | None = None) -> Verdict:

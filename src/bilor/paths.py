@@ -59,13 +59,7 @@ class PathMatrixWindow:
 
 
 def _perm_sign(perm) -> int:
-    inv = sum(
-        1
-        for a in range(len(perm))
-        for b in range(a + 1, len(perm))
-        if perm[a] > perm[b]
-    )
-    return -1 if inv % 2 else 1
+    return -1 if sum(a > b for a, b in combinations(perm, 2)) % 2 else 1
 
 
 def _path_positions(start: int, kset, band: int) -> tuple[int, ...]:

@@ -1,18 +1,22 @@
 """Banded Toeplitz windows of a form and their positivity properties.
 
 ``from_form(F, i)`` lays the normalized coefficients of a degree-d form into
-the (i+1) x (d-i+1) Toeplitz matrix whose (p, q) entry is ``c_{i+q-p}``.  The
-positivity checks come in two flavours: the consecutive-minor test (a classical
-reduction for *strict* total positivity) and full minor enumeration, which is
-the only correct test for total nonnegativity — nonnegative consecutive minors
-do not certify it.
+the (i+1) x (d-i+1) Toeplitz matrix whose (p, q) entry is ``c_{i+q-p}``.
+Every positivity check runs on one minor scanner, `_Minors`.  The
+consecutive-minor test (Fekete's criterion for *strict* total positivity)
+visits contiguous minors only; in a Toeplitz matrix those depend on the size
+k and the diagonal offset alone, so an m x n window costs
+O(sum_k (m+n-2k+1)) determinants.  Total nonnegativity stays exhaustive, all
+C(m+n, m) - 1 minors: nonnegative consecutive minors do not certify it
+(Cryer's counterexample).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, takewhile
+from math import prod
 
 from . import linalg
 from .errors import DegreeError, FormatError, MinorCapError, ShapeError
@@ -80,55 +84,102 @@ def to_form(matrix: ToeplitzMatrix) -> BivariateForm:
 
 
 def _dense(matrix) -> list[list[Fraction]]:
-    if isinstance(matrix, ToeplitzMatrix):
-        return matrix.to_dense()
-    return linalg.copy_rows(matrix)
+    return matrix.to_dense() if isinstance(matrix, ToeplitzMatrix) else linalg.copy_rows(matrix)
 
 
-def _scaled(dense):
-    irows, scales = linalg.integer_rows(dense)
+class _Minors:
+    """The minor scanner behind every positivity check.
 
-    def value(ridx, cidx) -> Fraction:
-        sub = [[irows[i][j] for j in cidx] for i in ridx]
-        den = 1
-        for i in ridx:
-            den *= scales[i]
-        return Fraction(linalg.int_det(sub), den)
+    Denominators are cleared once: with one common scale for a Toeplitz
+    matrix, row by row otherwise.  Each visited minor is one `linalg.int_det`
+    call whose sign is exact, since the scales are positive; only a witness
+    is turned back into a Fraction.
+    """
 
-    return value
+    def __init__(self, matrix, cap=None, enumerate_all=False):
+        self.toeplitz = isinstance(matrix, ToeplitzMatrix)
+        if self.toeplitz:
+            m, n = self.m, self.n = matrix.rows, matrix.cols
+            (diag,), (scale,) = linalg.integer_rows([matrix.diag])
+            self.rows = [diag[m - 1 - p : m - 1 - p + n] for p in range(m)]
+            self.scales = [scale] * m
+        else:
+            self.m, self.n = linalg.dims(matrix)
+            self.rows, self.scales = linalg.integer_rows(matrix)
+        self.sizes = range(1, min(self.m, self.n) + 1)
+        limit = DEFAULT_MINOR_CAP if cap is None else cap
+        if enumerate_all and len(self.sizes) > limit:
+            shape = f"{self.m}x{self.n}"
+            raise MinorCapError(f"minor enumeration over a {shape} matrix exceeds the cap {limit}")
+
+    def every(self, sizes):
+        """Every minor of the given sizes: by size, then lex rows, then lex cols."""
+        for k in sizes:
+            for ridx in combinations(range(self.m), k):
+                for cidx in combinations(range(self.n), k):
+                    yield ridx, cidx
+
+    def contiguous(self, by_offset=False):
+        """Contiguous minors as `consecutive_witness` visits them; a Toeplitz
+        offset t = s - r has its lex-first corner at r = max(0, -t)."""
+        m, n = self.m, self.n
+        for k in self.sizes:
+            if not self.toeplitz:
+                corners = [(r, s) for r in range(m - k + 1) for s in range(n - k + 1)]
+            else:
+                ts = [*range(n - k + 1), *range(-1, k - m - 1, -1)]
+                corners = [(max(0, -t), max(0, -t) + t) for t in (sorted(ts) if by_offset else ts)]
+            for r, s in corners:
+                yield tuple(range(r, r + k)), tuple(range(s, s + k))
+
+    def first(self, index_sets, floor: int) -> MinorWitness | None:
+        """The first listed minor whose integer determinant is below `floor`
+        (1 tests positivity, 0 nonnegativity), or None."""
+        rows = self.rows
+        for ridx, cidx in index_sets:
+            det = linalg.int_det([[rows[i][j] for j in cidx] for i in ridx])
+            if det < floor:
+                return MinorWitness(ridx, cidx, Fraction(det, prod(self.scales[i] for i in ridx)))
+        return None
+
+
+def consecutive_witness(matrix, by_offset: bool = False) -> MinorWitness | None:
+    """The first non-positive contiguous square minor, or None.
+
+    Sizes ascend.  A dense matrix is scanned by corner (r, s) in lex order.
+    A Toeplitz matrix costs one determinant per size and diagonal offset
+    s - r, each at its lex-first corner, taken in the lex order of those
+    corners, or by ascending offset with `by_offset` (the strict-Lorentzian
+    placement).
+    """
+    minors = _Minors(matrix)
+    return minors.first(minors.contiguous(by_offset), 1)
 
 
 def is_totally_positive(matrix) -> Verdict:
     """Consecutive-minor criterion: every contiguous square window has
     positive determinant.  Equivalent to all minors being positive."""
-    dense = _dense(matrix)
-    m, n = linalg.dims(dense)
-    value = _scaled(dense)
-    for k in range(1, min(m, n) + 1):
-        for r in range(m - k + 1):
-            for s in range(n - k + 1):
-                ridx = tuple(range(r, r + k))
-                cidx = tuple(range(s, s + k))
-                v = value(ridx, cidx)
-                if v <= 0:
-                    return Verdict(
-                        "totally-positive", False, MinorWitness(ridx, cidx, v)
-                    )
-    return Verdict("totally-positive", True)
+    found = consecutive_witness(matrix)
+    return Verdict("totally-positive", found is None, found)
 
 
-def _all_minors(dense, cap):
-    m, n = linalg.dims(dense)
-    limit = DEFAULT_MINOR_CAP if cap is None else cap
-    if min(m, n) > limit:
-        raise MinorCapError(
-            f"minor enumeration over a {m}x{n} matrix exceeds the cap {limit}"
-        )
-    value = _scaled(dense)
-    for k in range(1, min(m, n) + 1):
-        for ridx in combinations(range(m), k):
-            for cidx in combinations(range(n), k):
-                yield ridx, cidx, value(ridx, cidx)
+def is_totally_positive_graded(matrix, cap: int | None = None) -> Verdict:
+    """Total positivity by the consecutive criterion, failing with the
+    witness of full enumeration (first by size, then lex rows and cols).
+
+    Fekete's criterion is graded: if the contiguous minors of every size
+    below k are positive, so are all minors of those sizes.  The failing
+    contiguous size is thus the witness size, and of its minors only the
+    gapped ones lex-before the consecutive witness are still unknown.
+    """
+    minors = _Minors(matrix, cap, enumerate_all=True)
+    found = minors.first(minors.contiguous(), 1)
+    if found is not None:
+        k, corner = len(found.rows), (found.rows, found.cols)
+        earlier = takewhile(lambda rc: rc < corner, minors.every([k]))
+        gapped = ((r, c) for r, c in earlier if r[-1] - r[0] >= k or c[-1] - c[0] >= k)
+        found = minors.first(gapped, 1) or found
+    return Verdict("totally-positive", found is None, found)
 
 
 def is_totally_positive_full(matrix, cap: int | None = None) -> Verdict:
@@ -137,10 +188,9 @@ def is_totally_positive_full(matrix, cap: int | None = None) -> Verdict:
     Exponential in the smaller dimension; kept as the independent cross-check
     for the consecutive-minor test.
     """
-    for ridx, cidx, v in _all_minors(_dense(matrix), cap):
-        if v <= 0:
-            return Verdict("totally-positive", False, MinorWitness(ridx, cidx, v))
-    return Verdict("totally-positive", True)
+    minors = _Minors(matrix, cap, enumerate_all=True)
+    found = minors.first(minors.every(minors.sizes), 1)
+    return Verdict("totally-positive", found is None, found)
 
 
 def is_totally_nonnegative(matrix, cap: int | None = None) -> Verdict:
@@ -149,10 +199,9 @@ def is_totally_nonnegative(matrix, cap: int | None = None) -> Verdict:
     All minors are enumerated (sizes ascending, index sets in lexicographic
     order) and the first negative one is returned as the witness.
     """
-    for ridx, cidx, v in _all_minors(_dense(matrix), cap):
-        if v < 0:
-            return Verdict("totally-nonnegative", False, MinorWitness(ridx, cidx, v))
-    return Verdict("totally-nonnegative", True)
+    minors = _Minors(matrix, cap, enumerate_all=True)
+    found = minors.first(minors.every(minors.sizes), 0)
+    return Verdict("totally-nonnegative", found is None, found)
 
 
 def rank(matrix) -> int:

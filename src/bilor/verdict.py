@@ -2,22 +2,36 @@
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import FormatError
 
+_EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)\s*$")
+
+
+def _digit_limit() -> int:
+    """Python's int/str digit limit, or its default 4300 where none is set."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+
 
 def fmt_rat(x) -> str:
     """Canonical text for a rational: lowest terms, `p/q` or bare integer."""
     x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    try:
+        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    except ValueError as exc:  # past the int/str digit limit
+        raise FormatError(f"value too large to print: over {_digit_limit()} digits") from exc
 
 
 def parse_rational(text: str) -> Fraction:
+    """An exact rational; an exponent past the digit limit is refused unbuilt."""
+    exponent = _EXPONENT.search(text)
     try:
+        if exponent and abs(int(exponent[1])) >= _digit_limit():
+            raise FormatError(f"exponent of {text.strip()!r} is too large")
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise FormatError(f"bad rational {text!r}") from exc

@@ -213,6 +213,17 @@ def test_error_payloads_exit_two(capsys):
     assert doc["error"]["code"] == "precondition"
 
 
+@pytest.mark.parametrize("argv", [
+    ["toeplitz", "--form", "2: 1e3000, 1, 1e3000", "-i", "1"],  # a 6001-digit witness
+    ["classify", "--form", "2: 1e5000, 1, 1"],
+    ["classify", "--form", "2: 1e999999999, 1, 1"],
+], ids=["print", "parse", "huge-exponent"])
+def test_values_past_the_digit_limit_are_format_errors(capsys, argv):
+    code, doc = run_json(capsys, argv)
+    assert code == 2
+    assert doc["error"]["code"] == "format"
+
+
 def test_minor_cap_env(capsys, monkeypatch):
     monkeypatch.setenv("BILOR_MINOR_CAP", "2")
     code, doc = run_json(

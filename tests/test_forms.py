@@ -16,10 +16,12 @@ from bilor import (
     PreconditionError,
     ShapeError,
     derive,
+    fmt_rat,
     format_form,
     from_monomial_coeffs,
     monomial,
     parse_form,
+    parse_rational,
     substitute,
     symmetric_mix,
 )
@@ -91,6 +93,22 @@ def test_parse_form_rejects_garbage():
     for bad in ("", "4: 1,2", "monomial:", "3: a,b,c,d", "x: 1,2"):
         with pytest.raises(FormatError):
             parse_form(bad)
+
+
+def test_parse_rational_refuses_exponents_past_the_digit_limit():
+    assert parse_rational(" 2.5e3 ") == 2500
+    assert parse_rational("1e-3") == Fraction(1, 1000)
+    assert len(str(parse_rational("1e4299"))) == 4300
+    for bad in ("1e5000", "1E5000", "-1e-5000", "1e999999999", "1e" + "9" * 5000):
+        with pytest.raises(FormatError):
+            parse_rational(bad)
+
+
+def test_values_past_the_digit_limit_do_not_print():
+    with pytest.raises(FormatError):
+        fmt_rat(Fraction(10) ** 5000)
+    with pytest.raises(FormatError):
+        fmt_rat(Fraction(1, 10**5000))
 
 
 @given(small_forms)

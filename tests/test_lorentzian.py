@@ -23,9 +23,9 @@ from bilor import (
     straighten_from_hrr,
     substitute,
 )
-from bilor import toeplitz
+from bilor import linalg, toeplitz
 
-from support import random_form, random_tn_form
+from support import rand_positive_fraction, random_form, random_tn_form
 
 NSL = BivariateForm(4, [1, 4, 5, 2, 0])
 NSL_TILDE = from_monomial_coeffs([1, 4, 5, 2, 0])
@@ -249,3 +249,51 @@ def test_straighten_requires_a_witness():
         straighten_from_hrr(monomial(4, 4), LinearForm(1, 1), 1)  # beyond sperner-1
     with pytest.raises(PreconditionError):
         straighten_from_hrr(BivariateForm(2, [0, 0, 0]), LinearForm(1, 1), 1)
+
+
+def _per_offset_strict_witness(form, i):
+    """The direct per-offset loop: window determinants by size j+1, then by
+    offset m ascending, each placed at row max(0, i-j-m) of the order-i
+    window.  Kept as the reference for where a strict failure is reported."""
+    d, c = form.degree, form.coeffs
+    for j in range(i + 1):
+        for m in range(d - 2 * j + 1):
+            v = linalg.det([[c[m + j + q - p] for q in range(j + 1)] for p in range(j + 1)])
+            if v <= 0:
+                r = max(0, i - j - m)
+                s = m + j - i + r
+                return tuple(range(r, r + j + 1)), tuple(range(s, s + j + 1)), v
+    return None
+
+
+def test_strict_witness_placement_matches_the_per_offset_loop():
+    """Several failing offsets at one size: the strict check reports the
+    smallest offset, which is often not the lex-first corner the TP scan
+    reports."""
+    rng = Random(808)
+    several = differs = 0
+    for _ in range(150):
+        d = rng.randint(2, 10)
+        coeffs = [rand_positive_fraction(rng) for _ in range(d + 1)]
+        for k in rng.sample(range(d + 1), rng.randint(0, 3)):
+            coeffs[k] = -coeffs[k] if rng.random() < 0.7 else Fraction(0)
+        f = BivariateForm(d, coeffs)
+        for i in range(d // 2 + 1):
+            got = is_strictly_lorentzian(f, i)
+            want = _per_offset_strict_witness(f, i)
+            assert got.passed == (want is None)
+            if want is None:
+                continue
+            w = got.witness
+            assert (w.rows, w.cols, w.value) == want, (f, i)
+            size = len(w.rows)
+            window = toeplitz.from_form(f, i)
+            failing = [
+                t for t in range(size - i - 1, d - i - size + 2)
+                if linalg.minor(window.to_dense(), range(max(0, -t), max(0, -t) + size),
+                                range(max(0, t), max(0, t) + size)) <= 0
+            ]
+            several += len(failing) >= 2
+            differs += toeplitz.is_totally_positive(window).witness != w
+    assert several >= 100
+    assert differs >= 50

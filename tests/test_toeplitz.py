@@ -1,6 +1,7 @@
 """Coefficient windows and total positivity / nonnegativity verdicts."""
 
 from fractions import Fraction
+from math import comb
 from random import Random
 
 import pytest
@@ -8,15 +9,28 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bilor import (
+    BivariateForm,
+    CoordChange,
     DegreeError,
     FormatError,
+    LinearForm,
     MinorCapError,
     ShapeError,
+    check_mixed_hrr_cone,
     from_monomial_coeffs,
+    is_strictly_lorentzian,
+    substitute,
 )
 from bilor import linalg, toeplitz
 
-from support import cauchy_matrix, random_matrix, random_tn_form
+from support import (
+    cauchy_matrix,
+    elementary_coeffs,
+    rand_positive_fraction,
+    random_form,
+    random_matrix,
+    random_tn_form,
+)
 
 
 def consecutive_minors_nonnegative(matrix) -> bool:
@@ -215,3 +229,152 @@ def test_window_round_trip_and_rank_monotone(coeffs):
         # window ranks follow the staircase min(i+1, s)
         s = ranks[-1]
         assert ranks == [min(i + 1, s) for i in range(d // 2 + 1)]
+
+
+# -- the shared minor scanner --------------------------------------------------
+
+def _power_form(a, b, d):
+    """(aX + bY)^d: normalized coefficients a^k b^(d-k), rank-one windows."""
+    return BivariateForm(d, [Fraction(a) ** k * Fraction(b) ** (d - k) for k in range(d + 1)])
+
+
+def _scanner_forms(rng):
+    """Forms of every kind the scans meet, degrees 1..10."""
+    for _ in range(12):
+        yield random_form(rng, rng.randint(1, 10))
+        yield random_tn_form(rng, rng.randint(1, 10))
+        yield _power_form(rand_positive_fraction(rng), rand_positive_fraction(rng), rng.randint(1, 10))
+        d = rng.randint(2, 10)
+        zeros = rng.randint(1, d - 1)
+        yield BivariateForm(d, [0] * zeros + [rand_positive_fraction(rng) for _ in range(d + 1 - zeros)])
+        coeffs = [rand_positive_fraction(rng) for _ in range(d + 1)]
+        for k in rng.sample(range(d + 1), rng.randint(1, 2)):
+            coeffs[k] = -coeffs[k]
+        yield BivariateForm(d, coeffs)
+
+
+def test_toeplitz_consecutive_scan_matches_the_ordered_dense_scan():
+    """One determinant per (size, offset) must give the verdict and the
+    lex-first witness that the scan over every contiguous corner gives."""
+    rng = Random(2024)
+    windows = passed = 0
+    for f in _scanner_forms(rng):
+        for i in range(f.degree // 2 + 1):
+            w = toeplitz.from_form(f, i)
+            fast, dense = toeplitz.is_totally_positive(w), toeplitz.is_totally_positive(w.to_dense())
+            assert (fast.passed, fast.witness) == (dense.passed, dense.witness), (f, i)
+            windows += 1
+            passed += fast.passed
+    assert windows >= 200
+    assert passed >= 20
+
+
+def _positive_form(rng, d):
+    return BivariateForm(d, [rand_positive_fraction(rng) for _ in range(d + 1)])
+
+
+def _tilted_form(rng, d):
+    """Positive roots times one quadratic factor without real roots (d >= 2):
+    positive coefficients whose windows fail total positivity late, if at all."""
+    out = elementary_coeffs([rand_positive_fraction(rng, 5, 4) for _ in range(d - 2)])
+    a = rand_positive_fraction(rng, 3, 2)
+    quad = [a * a / 4 + rand_positive_fraction(rng, 2, 8), a, Fraction(1)]
+    coeffs = [Fraction(0)] * (d + 1)
+    for p, x in enumerate(out):
+        for q, y in enumerate(quad):
+            coeffs[p + q] += x * y
+    return BivariateForm(d, coeffs)
+
+
+def test_closed_cone_matches_full_enumeration():
+    """The graded Fekete search must return the full enumeration's verdict and
+    its first non-positive minor, with and without cone generators."""
+    rng = Random(31)
+    gapped = passed = 0
+    for trial in range(160):
+        d = rng.randint(2, 10)
+        make = (random_form, random_tn_form, _tilted_form, _positive_form)[trial % 4]
+        f = make(rng, d)
+        gens = None
+        if trial % 3 == 0:
+            gens = (LinearForm(1, rng.randint(0, 2)), LinearForm(rng.randint(0, 2), 1))
+            if gens[0].a * gens[1].b == gens[0].b * gens[1].a:
+                gens = (LinearForm(1, 0), LinearForm(1, 1))
+        g = f if gens is None else substitute(f, CoordChange.from_generators(*gens))
+        for i in range(d // 2 + 1):
+            cone = check_mixed_hrr_cone(f, i, "closed", generators=gens)
+            if f.is_zero:
+                continue
+            full = toeplitz.is_totally_positive_full(toeplitz.from_form(g, i))
+            assert cone.passed == full.passed, (f, i, gens)
+            witness = None if cone.failure is None else cone.failure.minor
+            assert witness == full.witness, (f, i, gens)
+            passed += full.passed
+            if witness is not None:
+                consecutive = toeplitz.is_totally_positive(toeplitz.from_form(g, i)).witness
+                gapped += witness != consecutive
+    assert passed >= 100
+    assert gapped >= 30  # witnesses off the contiguous scan exercise the graded search
+
+
+def _count_int_det(monkeypatch) -> list:
+    """Record the size of every `linalg.int_det` call the scans make."""
+    calls = []
+    real = linalg.int_det
+
+    def counting(rows):
+        calls.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(linalg, "int_det", counting)
+    return calls
+
+
+def test_closed_cone_checks_the_cap_before_any_determinant(monkeypatch):
+    calls = _count_int_det(monkeypatch)
+    f = BivariateForm(18, [1] * 19)  # order 8: a 9 x 11 window
+    with pytest.raises(MinorCapError):
+        check_mixed_hrr_cone(f, 8, "closed")
+    with pytest.raises(MinorCapError):
+        check_mixed_hrr_cone(f, 2, "closed", cap=2)
+    assert calls == []
+    assert not check_mixed_hrr_cone(f, 2, "closed", cap=3).passed
+
+
+@pytest.mark.parametrize("d", [2, 5, 8, 12])
+def test_work_counts_of_passing_scans(monkeypatch, d):
+    calls = _count_int_det(monkeypatch)
+    f = BivariateForm(d, elementary_coeffs(range(1, d + 1)))  # every window is TP
+    for i in range(d // 2 + 1):
+        m, n = i + 1, d - i + 1
+        per_offset = sum(m + n - 2 * k + 1 for k in range(1, m + 1))
+        w = toeplitz.from_form(f, i)
+        for run in (
+            lambda: toeplitz.is_totally_positive(w),
+            lambda: is_strictly_lorentzian(f, i),
+            lambda: check_mixed_hrr_cone(f, i, "closed"),
+        ):
+            calls.clear()
+            assert run().passed
+            assert len(calls) == per_offset
+        if comb(m + n, m) <= 5000:
+            calls.clear()
+            assert toeplitz.is_totally_nonnegative(w).passed
+            assert len(calls) == comb(m + n, m) - 1
+
+
+def test_work_count_of_a_failing_closed_cone_stays_within_full_enumeration(monkeypatch):
+    calls = _count_int_det(monkeypatch)
+    rng = Random(99)
+    failures = 0
+    for trial in range(120):
+        d = rng.randint(2, 10)
+        f = (_tilted_form, _positive_form, random_form)[trial % 3](rng, d)
+        if f.is_zero:
+            continue
+        for i in range(d // 2 + 1):
+            calls.clear()
+            if not check_mixed_hrr_cone(f, i, "closed").passed:
+                failures += 1
+                assert len(calls) <= comb(d + 2, i + 1) - 1, (f, i)
+    assert failures >= 200
