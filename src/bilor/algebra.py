@@ -140,12 +140,9 @@ def _catalecticant_kernel(form: BivariateForm, e: int) -> list[list[Fraction]]:
     """
     d = form.degree
     if e > d:
-        return [v for v in linalg.identity(e + 1)]
-    cols = []
-    for p in range(e + 1):
-        cols.append(list(derive(form, [(p, e - p, 1)]).coeffs))
-    matrix = [[cols[p][r] for p in range(e + 1)] for r in range(d - e + 1)]
-    return linalg.kernel_basis(matrix)
+        return linalg.identity(e + 1)
+    cols = [derive(form, [(p, e - p, 1)]).coeffs for p in range(e + 1)]
+    return linalg.kernel_basis(linalg.transpose(cols))
 
 
 def annihilator_generators(form: BivariateForm) -> tuple[XYPoly, XYPoly]:
@@ -165,12 +162,8 @@ def annihilator_generators(form: BivariateForm) -> tuple[XYPoly, XYPoly]:
     e2 = d + 2 - s
     k2 = _catalecticant_kernel(form, e2)
     # reduce away the multiples of f1 of degree e2
-    shifts = []
-    for a in range(e2 - s + 1):
-        row = [Fraction(0)] * (e2 + 1)
-        for p, c in enumerate(f1.coeffs):
-            row[p + a] += c
-        shifts.append(row)
+    zeros = [Fraction(0)] * (e2 - s)
+    shifts = [zeros[:a] + list(f1.coeffs) + zeros[a:] for a in range(e2 - s + 1)]
     red, pivots = linalg.rref(shifts)
     f2 = None
     for vec in k2:
@@ -226,12 +219,9 @@ def primitive_subspace(form, j: int, ell0: LinearForm, ells) -> PrimitiveBasis:
     g = linear_poly(ell0)
     for l in ells:
         g = g.times(linear_poly(l))
-    cols = []
-    for p in range(j + 1):
-        shifted = g.times(XYPoly(j, tuple(Fraction(int(q == p)) for q in range(j + 1))))
-        cols.append(list(derive(form, shifted.terms()).coeffs))
-    matrix = [[cols[p][r] for p in range(j + 1)] for r in range(j)]
-    kernel = linalg.kernel_basis(matrix)
+    units = linalg.identity(j + 1)
+    cols = [derive(form, g.times(XYPoly(j, tuple(u))).terms()).coeffs for u in units]
+    kernel = linalg.kernel_basis(linalg.transpose(cols))
     return PrimitiveBasis(j, tuple(tuple(v) for v in kernel), expected)
 
 

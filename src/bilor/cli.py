@@ -42,7 +42,10 @@ def _minor_cap() -> int | None:
 
 
 def _budget() -> int:
-    return _env_int("BILOR_HALVING_BUDGET") or lorentzian.DEFAULT_BUDGET
+    budget = _env_int("BILOR_HALVING_BUDGET")
+    if budget is not None and budget < 1:
+        raise FormatError(f"BILOR_HALVING_BUDGET must be at least 1, got {budget}")
+    return lorentzian.DEFAULT_BUDGET if budget is None else budget
 
 
 def _parse_point(text: str) -> tuple[Fraction, Fraction]:
@@ -162,7 +165,7 @@ def cmd_toeplitz(args, payload: dict) -> None:
         payload["order"] = args.order
         dense = window.to_dense()
     payload["matrix"] = _rat_rows(dense)
-    payload["rank"] = toeplitz.rank(dense)
+    payload["rank"] = toeplitz.rank(window)
     payload["totally_positive"] = toeplitz.is_totally_positive(window).to_json()
     payload["totally_nonnegative"] = toeplitz.is_totally_nonnegative(window, cap).to_json()
 
@@ -274,7 +277,7 @@ def cmd_pf(args, payload: dict) -> None:
 
 def cmd_approximate(args, payload: dict) -> None:
     form = _form(args, payload)
-    epsilon = parse_rational(args.epsilon) if args.epsilon else None
+    epsilon = None if args.epsilon is None else parse_rational(args.epsilon)
     steps = lorentzian.approximate_tp(
         form,
         args.order,

@@ -1,8 +1,9 @@
 """Exact dense linear algebra over the rationals.
 
 Matrices are plain lists of row lists with ``Fraction`` (or ``int``) entries.
-Determinants go through fraction-free Bareiss elimination on an integer
-rescaling of the input, so no floating point is involved anywhere.
+Determinants and ranks go through fraction-free Bareiss elimination on an
+integer rescaling of the input, so no floating point and no ``Fraction``
+arithmetic is involved; only `rref` and `kernel_basis` work over ``Fraction``.
 """
 
 from __future__ import annotations
@@ -99,6 +100,26 @@ def int_det(rows: list[list[int]]) -> int:
     return sign * m[-1][-1]
 
 
+def int_rank(rows: list[list[int]]) -> int:
+    """Rank of an integer matrix by fraction-free (Bareiss) forward
+    elimination, in place.  A zero pivot swaps rows and a pivotless column is
+    skipped; every lower row is rescaled, even with a zero multiplier, so each
+    division by the previous pivot is exact by Sylvester's identity."""
+    r, prev = 0, 1
+    for c in range(len(rows[0]) if rows else 0):
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        top, piv = rows[r], rows[r][c]
+        for row in rows[r + 1 :]:
+            f = row[c]
+            for j in range(c + 1, len(top)):
+                row[j] = (row[j] * piv - f * top[j]) // prev
+        prev, r = piv, r + 1
+    return r
+
+
 def det(rows) -> Fraction:
     m, n = dims(rows)
     if m != n:
@@ -137,10 +158,9 @@ def rref(rows) -> tuple[Matrix, list[int]]:
 
 
 def rank(rows) -> int:
-    m, n = dims(rows)
-    if m == 0 or n == 0:
-        return 0
-    return len(rref(rows)[1])
+    """Exact rank by fraction-free integer elimination (`int_rank`), row scales cleared."""
+    dims(rows)
+    return int_rank(integer_rows(rows)[0])
 
 
 def kernel_basis(rows) -> list[list[Fraction]]:

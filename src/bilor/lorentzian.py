@@ -185,24 +185,27 @@ def approximate_tp(
     """
     if steps is not None and steps < 1:
         raise PreconditionError(f"steps must be at least 1, got {steps}")
+    epsilon = None if epsilon is None else Fraction(epsilon)
+    if epsilon is not None and epsilon < 0:
+        raise PreconditionError(f"epsilon must be at least 0, got {epsilon}")
     if form.is_zero:
         raise PreconditionError("cannot approximate the zero form")
     if not is_lorentzian(form, i, cap).passed:
         raise PreconditionError("input form is not i-Lorentzian at this order")
-    epsilon = None if epsilon is None else Fraction(epsilon)
     if is_strictly_lorentzian(form, i).passed:
         step = ApproxStep(form, (), None, Fraction(0))
         return [step] * (steps or 1)
+    if epsilon == 0:
+        raise PreconditionError(f"epsilon 0 needs a strictly {i}-Lorentzian input")
+    if steps is None and epsilon is None:
+        steps = 8
     out: list[ApproxStep] = []
     scale = Fraction(1, 2)
     for _ in range(budget):
         g, trail, tfin = _certified_approximant(form, i, scale, budget, cap)
         out.append(ApproxStep(g, trail, tfin, _distance(g, form)))
         got_steps = steps is None or len(out) >= steps
-        got_eps = epsilon is None or out[-1].distance <= epsilon
-        if steps is None and epsilon is None and len(out) >= 8:
-            return out
-        if got_steps and got_eps and (steps is not None or epsilon is not None):
+        if got_steps and (epsilon is None or out[-1].distance <= epsilon):
             return out
         scale /= 2
     raise BudgetError("approximation did not reach the target within budget")

@@ -83,8 +83,11 @@ def to_form(matrix: ToeplitzMatrix) -> BivariateForm:
     return BivariateForm(d, matrix.diag)
 
 
-def _dense(matrix) -> list[list[Fraction]]:
-    return matrix.to_dense() if isinstance(matrix, ToeplitzMatrix) else linalg.copy_rows(matrix)
+def _cleared(matrix: ToeplitzMatrix) -> tuple[list[list[int]], int]:
+    """Integer rows of the window over one common denominator, and that scale."""
+    m, n = matrix.rows, matrix.cols
+    (diag,), (scale,) = linalg.integer_rows([matrix.diag])
+    return [diag[m - 1 - p : m - 1 - p + n] for p in range(m)], scale
 
 
 class _Minors:
@@ -99,10 +102,9 @@ class _Minors:
     def __init__(self, matrix, cap=None, enumerate_all=False):
         self.toeplitz = isinstance(matrix, ToeplitzMatrix)
         if self.toeplitz:
-            m, n = self.m, self.n = matrix.rows, matrix.cols
-            (diag,), (scale,) = linalg.integer_rows([matrix.diag])
-            self.rows = [diag[m - 1 - p : m - 1 - p + n] for p in range(m)]
-            self.scales = [scale] * m
+            self.m, self.n = matrix.rows, matrix.cols
+            self.rows, scale = _cleared(matrix)
+            self.scales = [scale] * self.m
         else:
             self.m, self.n = linalg.dims(matrix)
             self.rows, self.scales = linalg.integer_rows(matrix)
@@ -205,7 +207,10 @@ def is_totally_nonnegative(matrix, cap: int | None = None) -> Verdict:
 
 
 def rank(matrix) -> int:
-    return linalg.rank(_dense(matrix))
+    """Exact rank; a Toeplitz window is cleared once, never made dense."""
+    if isinstance(matrix, ToeplitzMatrix):
+        return linalg.int_rank(_cleared(matrix)[0])
+    return linalg.rank(matrix)
 
 
 def parse_matrix(text: str) -> list[list[Fraction]]:
@@ -220,5 +225,5 @@ def parse_matrix(text: str) -> list[list[Fraction]]:
 
 
 def format_matrix(rows) -> str:
-    dense = _dense(rows)
+    dense = rows.to_dense() if isinstance(rows, ToeplitzMatrix) else linalg.copy_rows(rows)
     return "; ".join(", ".join(fmt_rat(x) for x in row) for row in dense)

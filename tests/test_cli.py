@@ -287,6 +287,46 @@ def test_approximate_needs_at_least_one_step(capsys, steps):
     assert doc["error"]["code"] == "precondition"
 
 
+X10 = ["--form", "monomial: 0,0,0,0,0,0,0,0,0,0,1", "-i", "3"]
+STRICT = ["--form", "3: 26,17,11,7", "-i", "1"]  # strictly 1-Lorentzian
+
+
+@pytest.mark.parametrize("epsilon", ["0", "-1/8", "-2"])
+def test_approximate_refuses_an_unreachable_epsilon(capsys, epsilon):
+    code, doc = run_json(capsys, ["approximate", *X10, f"--epsilon={epsilon}"])
+    assert code == 2
+    assert doc["error"]["code"] == "precondition"
+    assert "epsilon" in doc["error"]["message"]
+
+
+def test_strict_input_meets_epsilon_zero(capsys):
+    code, doc = run_json(capsys, ["approximate", *STRICT, "--epsilon", "0"])
+    assert code == 0
+    assert [st["distance"] for st in doc["steps"]] == ["0"]
+
+
+@pytest.mark.parametrize("epsilon", ["", " "])
+def test_blank_epsilon_is_a_format_error(capsys, epsilon):
+    code, doc = run_json(capsys, ["approximate", *STRICT, "--epsilon", epsilon])
+    assert code == 2
+    assert doc["error"]["code"] == "format"
+
+
+@pytest.mark.parametrize("budget", ["0", "-1"])
+@pytest.mark.parametrize("argv", [
+    ["approximate", "--form", "monomial: 0,0,0,0,0,1", "-i", "1", "--steps", "1"],
+    ["straighten", *F4_ARGS, "--ell", "1,1", "-i", "1"],
+])
+def test_halving_budget_below_one_is_a_format_error(capsys, monkeypatch, budget, argv):
+    monkeypatch.setenv("BILOR_HALVING_BUDGET", budget)
+    code, doc = run_json(capsys, argv)
+    assert code == 2
+    assert doc["error"]["code"] == "format"
+    assert doc["error"]["message"] == f"BILOR_HALVING_BUDGET must be at least 1, got {budget}"
+    monkeypatch.setenv("BILOR_HALVING_BUDGET", "64")
+    assert run_json(capsys, argv)[0] == 0
+
+
 def test_help_hides_the_factorization_probe(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["-h"])

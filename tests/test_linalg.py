@@ -81,6 +81,48 @@ def test_rank_and_rref():
     assert linalg.rank([[0, 0], [0, 0]]) == 0
 
 
+def _rank_cases(rng):
+    """Rational matrices of every kind rank meets, with 1 x n and m x 1 shapes."""
+    for _ in range(300):
+        m, n = rng.randint(1, 7), rng.randint(1, 7)
+        yield random_matrix(rng, m, n)
+        k = rng.randint(1, min(m, n))
+        low = linalg.mat_mul(random_matrix(rng, m, k, -3, 3, 2), random_matrix(rng, k, n, -3, 3, 2))
+        yield low  # rank at most k
+        yield [[x if rng.random() < 0.35 else 0 for x in row] for row in random_matrix(rng, m, n)]
+        zero_r, zero_c = rng.randrange(m), rng.randrange(n)
+        yield [[0 if r == zero_r or c == zero_c else x for c, x in enumerate(row)]
+               for r, row in enumerate(low)]
+        yield [[rng.randint(-2, 2) for _ in range(n)] for _ in range(m)]  # plain ints
+        yield random_matrix(rng, 1, n)
+        yield [[rng.choice([0, rand]) for rand in row] for row in random_matrix(rng, m, 1)]
+
+
+def test_rank_matches_the_pivots_of_rref():
+    """Fraction-free elimination must count exactly the pivots of Gauss-Jordan."""
+    rng = Random(31)
+    cases = ranks = deficient = 0
+    for m in _rank_cases(rng):
+        snapshot = [row[:] for row in m]
+        r = linalg.rank(m)
+        assert r == len(linalg.rref(m)[1]), m
+        assert m == snapshot  # the input is not touched
+        cases += 1
+        deficient += r < min(len(m), len(m[0]))
+        ranks |= 1 << r
+    assert cases >= 2000
+    assert deficient >= 500
+    assert ranks == 0b11111111  # every rank 0..7 occurs
+
+
+def test_int_rank_skips_pivotless_columns():
+    assert linalg.int_rank([[0, 2, 4], [0, 1, 2], [0, 0, 3]]) == 2
+    assert linalg.int_rank([[0, 0, 5, 1], [0, 0, 10, 2], [3, 0, 0, 7]]) == 2
+    assert linalg.int_rank([[2, 3], [4, 6], [0, 0], [1, 1]]) == 2
+    assert linalg.int_rank([]) == 0
+    assert linalg.rank([[]]) == 0
+
+
 def test_kernel_basis_annihilates():
     rng = Random(5)
     for _ in range(30):

@@ -7,6 +7,7 @@ from random import Random
 import pytest
 
 from bilor import (
+    ApproxStep,
     BivariateForm,
     BudgetError,
     LinearForm,
@@ -23,7 +24,7 @@ from bilor import (
     straighten_from_hrr,
     substitute,
 )
-from bilor import linalg, toeplitz
+from bilor import linalg, lorentzian, toeplitz
 
 from support import rand_positive_fraction, random_form, random_tn_form
 
@@ -178,6 +179,28 @@ def test_approximate_rejects_fewer_than_one_step(steps):
     for form in (BivariateForm(3, [26, 17, 11, 7]), monomial(5, 5)):
         with pytest.raises(PreconditionError):
             approximate_tp(form, 1, steps=steps)
+
+
+@pytest.mark.parametrize("epsilon", [0, Fraction(-1, 2**10), -3])
+def test_approximate_refuses_an_unreachable_epsilon(monkeypatch, epsilon):
+    """A negative epsilon, or 0 for an input that is not strictly
+    i-Lorentzian, can never be met: refused before any approximant."""
+    built = []
+    monkeypatch.setattr(lorentzian, "_certified_approximant", lambda *args: built.append(args))
+    for form, i in ((monomial(10, 10), 3), (monomial(5, 5), 1), (NSL, 2)):
+        assert not is_strictly_lorentzian(form, i).passed
+        for steps in (None, 2):
+            with pytest.raises(PreconditionError, match="epsilon"):
+                approximate_tp(form, i, steps=steps, epsilon=epsilon)
+    assert built == []
+
+
+def test_strict_input_meets_epsilon_zero():
+    good = BivariateForm(3, [26, 17, 11, 7])
+    assert approximate_tp(good, 1, epsilon=0) == [ApproxStep(good, (), None, Fraction(0))]
+    assert len(approximate_tp(good, 1, steps=2, epsilon=Fraction(0))) == 2
+    with pytest.raises(PreconditionError, match="epsilon"):
+        approximate_tp(good, 1, epsilon=Fraction(-1, 7))
 
 
 def test_approximants_of_random_tn_forms_are_certified():

@@ -21,7 +21,7 @@ from bilor import (
     is_strictly_lorentzian,
     substitute,
 )
-from bilor import linalg, toeplitz
+from bilor import algebra, linalg, toeplitz
 
 from support import (
     cauchy_matrix,
@@ -267,6 +267,37 @@ def test_toeplitz_consecutive_scan_matches_the_ordered_dense_scan():
             passed += fast.passed
     assert windows >= 200
     assert passed >= 20
+
+
+def test_toeplitz_rank_matches_the_dense_rank():
+    rng = Random(77)
+    windows = deficient = 0
+    for f in _scanner_forms(rng):
+        for i in range(f.degree // 2 + 1):
+            w = toeplitz.from_form(f, i)
+            r = toeplitz.rank(w)
+            assert r == linalg.rank(w.to_dense()) == len(linalg.rref(w.to_dense())[1]), (f, i)
+            windows += 1
+            deficient += r < w.rows
+    assert windows >= 200
+    assert deficient >= 20
+
+
+def test_rank_stays_off_rref_and_the_dense_window(monkeypatch):
+    """The Hilbert function is read off integer windows: no Gauss-Jordan
+    over Fractions and no dense copy of a Toeplitz window."""
+    def refuse(*args):
+        raise AssertionError("rank took the Fraction path")
+
+    monkeypatch.setattr(linalg, "rref", refuse)
+    monkeypatch.setattr(toeplitz.ToeplitzMatrix, "to_dense", refuse)
+    rng = Random(5)
+    for d in (1, 4, 7, 12):
+        for f in (random_form(rng, d), random_tn_form(rng, d), _power_form(2, 3, d)):
+            algebra.profile(f)
+            for i in range(d // 2 + 1):
+                toeplitz.rank(toeplitz.from_form(f, i))
+    assert toeplitz.rank([[1, 2, 0], [2, 4, 0]]) == linalg.rank([[1], [3]]) == 1
 
 
 def _positive_form(rng, d):
