@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from .errors import DegreeError, FormatError, PreconditionError, ShapeError
 from .verdict import fmt_rat, parse_rational
@@ -195,34 +195,27 @@ def derive(form: BivariateForm, terms) -> BivariateForm:
     return BivariateForm(d - e, out)
 
 
-def _conv(u: list[Fraction], v: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(u) + len(v) - 1)
-    for i, a in enumerate(u):
-        if a == 0:
-            continue
-        for j, b in enumerate(v):
-            out[i + j] += a * b
-    return out
-
-
 def substitute(form: BivariateForm, change: CoordChange) -> BivariateForm:
-    """The form F(p*X + r*Y, q*X + s*Y)."""
+    """The form F(p*X + r*Y, q*X + s*Y).
+
+    Fraction-free: D clears the denominators of the coefficients and E those
+    of the change, so sum_k R_k (P*X + R*Y)^k (Q*X + S*Y)^(d-k), with
+    R_k = D * C(d, k) * c_k, is built over integers by homogeneous Horner in
+    O(d^2) multiply-adds; each output coefficient is then one Fraction over
+    D * E^d * C(d, j).
+    """
     d = form.degree
-    raw = form.monomial_coeffs()
-    first = [change.r, change.p]  # p*X + r*Y, indexed by X-power
-    second = [change.s, change.q]
-    powers1 = [[Fraction(1)]]
-    powers2 = [[Fraction(1)]]
-    for _ in range(d):
-        powers1.append(_conv(powers1[-1], first))
-        powers2.append(_conv(powers2[-1], second))
-    out = [Fraction(0)] * (d + 1)
-    for k, rk in enumerate(raw):
-        if rk == 0:
-            continue
-        for j, v in enumerate(_conv(powers1[k], powers2[d - k])):
-            out[j] += rk * v
-    return from_monomial_coeffs(out)
+    den = lcm(*(c.denominator for c in form.coeffs))
+    raw = [comb(d, k) * c.numerator * (den // c.denominator) for k, c in enumerate(form.coeffs)]
+    entries = (change.p, change.q, change.r, change.s)
+    e = lcm(*(x.denominator for x in entries))
+    p, q, r, s = (x.numerator * (e // x.denominator) for x in entries)
+    acc, pw = [raw[d]], [1]  # polynomials indexed by X-power
+    for rk in reversed(raw[:d]):
+        pw = [s * a + q * b for a, b in zip(pw + [0], [0] + pw)]
+        acc = [r * a + p * b + rk * w for a, b, w in zip(acc + [0], [0] + acc, pw)]
+    scale = den * e**d
+    return BivariateForm(d, tuple(Fraction(a, scale * comb(d, j)) for j, a in enumerate(acc)))
 
 
 def symmetric_mix(form: BivariateForm, t) -> BivariateForm:

@@ -58,9 +58,10 @@ def _combine(family: HessianFamily, weights, scale) -> Matrix:
     out = [[Fraction(0)] * size for _ in range(size)]
     for w, hm in zip(weights, family.base):
         if w != 0:
+            sw = scale * w
             for p in range(size):
                 for q in range(size):
-                    out[p][q] += scale * w * hm[p][q]
+                    out[p][q] += sw * hm[p][q]
     return out
 
 

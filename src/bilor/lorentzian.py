@@ -179,9 +179,10 @@ def approximate_tp(
 
     Emits successive approximants with geometrically shrinking parameters
     until `steps` forms are produced and/or the coefficient distance drops
-    below `epsilon` (default: 8 steps).  `steps`, when given, must be at least
-    1.  The input must be i-Lorentzian and nonzero; a strictly i-Lorentzian
-    input is returned as its own (distance zero) approximation.
+    below `epsilon` (default: 8 steps).  `steps` must be at least 1, and at
+    most `budget` unless the input is strict.  The input must be i-Lorentzian
+    and nonzero; a strictly i-Lorentzian input is returned as its own
+    (distance zero) approximation.
     """
     if steps is not None and steps < 1:
         raise PreconditionError(f"steps must be at least 1, got {steps}")
@@ -199,6 +200,8 @@ def approximate_tp(
         raise PreconditionError(f"epsilon 0 needs a strictly {i}-Lorentzian input")
     if steps is None and epsilon is None:
         steps = 8
+    if steps is not None and steps > budget:  # the loop below builds at most `budget`
+        raise BudgetError(f"steps {steps} exceeds the halving budget {budget} of approximants")
     out: list[ApproxStep] = []
     scale = Fraction(1, 2)
     for _ in range(budget):

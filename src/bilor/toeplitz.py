@@ -35,7 +35,7 @@ class ToeplitzMatrix:
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
             raise ShapeError("empty Toeplitz matrix")
-        diag = tuple(Fraction(x) for x in self.diag)
+        diag = tuple(x if isinstance(x, Fraction) else Fraction(x) for x in self.diag)
         if len(diag) != self.rows + self.cols - 1:
             raise ShapeError(
                 f"{self.rows}x{self.cols} Toeplitz matrix needs "

@@ -305,6 +305,19 @@ def test_strict_input_meets_epsilon_zero(capsys):
     assert [st["distance"] for st in doc["steps"]] == ["0"]
 
 
+def test_approximate_refuses_more_steps_than_the_budget(capsys, monkeypatch):
+    code, doc = run_json(capsys, ["approximate", *X10, "--steps", "65"])
+    assert code == 2
+    assert doc["error"] == {
+        "code": "budget-exhausted",
+        "message": "steps 65 exceeds the halving budget 64 of approximants",
+    }
+    monkeypatch.setenv("BILOR_HALVING_BUDGET", "2")
+    code, doc = run_json(capsys, ["approximate", *STRICT, "--steps", "3"])
+    assert code == 0
+    assert [st["distance"] for st in doc["steps"]] == ["0"] * 3
+
+
 @pytest.mark.parametrize("epsilon", ["", " "])
 def test_blank_epsilon_is_a_format_error(capsys, epsilon):
     code, doc = run_json(capsys, ["approximate", *STRICT, "--epsilon", epsilon])

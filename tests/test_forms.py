@@ -26,7 +26,8 @@ from bilor import (
     symmetric_mix,
 )
 
-from support import random_form
+from oracles import substitute_by_convolution
+from support import rand_fraction, random_form
 
 fractions_st = st.fractions(min_value=-50, max_value=50, max_denominator=8)
 small_forms = st.integers(min_value=1, max_value=6).flatmap(
@@ -219,3 +220,50 @@ def test_str_mentions_degree_and_coefficients():
     f = BivariateForm(2, [1, Fraction(1, 2), 0])
     text = str(f)
     assert "2" in text and "1/2" in text
+
+
+def _oracle_form(rng, d):
+    kind = rng.choice(["random", "zero", "power", "leading-zero", "monomial"])
+    if kind == "zero":
+        return BivariateForm(d, [0] * (d + 1))
+    if kind == "power":  # (a*X + b*Y)^d has normalized coefficients a^k b^(d-k)
+        a, b = rand_fraction(rng), rand_fraction(rng)
+        return BivariateForm(d, [a**k * b ** (d - k) for k in range(d + 1)])
+    if kind == "monomial":
+        return monomial(d, rng.randint(0, d))
+    f = random_form(rng, d)
+    if kind == "random":
+        return f
+    lead = rng.randint(1, d + 1)
+    return BivariateForm(d, [0] * lead + list(f.coeffs[lead:]))
+
+
+def _oracle_change(rng):
+    kind = rng.choice(["rational", "integer", "singular", "sparse"])
+    if kind == "integer":
+        return CoordChange(*(rng.randint(-5, 5) for _ in range(4)))
+    if kind == "singular":  # rows proportional: det 0
+        a, b, u, v = (rand_fraction(rng) for _ in range(4))
+        return CoordChange(p=a * u, q=b * u, r=a * v, s=b * v)
+    entries = [rand_fraction(rng) for _ in range(4)]
+    if kind == "sparse":
+        for k in rng.sample(range(4), rng.randint(1, 3)):
+            entries[k] = Fraction(0)
+    return CoordChange(*entries)
+
+
+def test_substitute_matches_the_convolution_oracle():
+    rng = Random(2024)
+    for n in range(1050):
+        d = n % 25 if n < 250 else n % 13  # every degree to 24, most cases d <= 12
+        f, sigma = _oracle_form(rng, d), _oracle_change(rng)
+        assert substitute(f, sigma) == substitute_by_convolution(f, sigma), (f, sigma)
+    assert substitute(BivariateForm(0, [0]), CoordChange(0, 0, 0, 0)) == BivariateForm(0, [0])
+
+
+def test_symmetric_mix_matches_the_oracle_at_halving_parameters():
+    rng = Random(2025)
+    for n in range(260):
+        f = _oracle_form(rng, n % 13)
+        t = rng.choice([1, -1]) * Fraction(1, 2 ** rng.randint(0, 20))
+        assert symmetric_mix(f, t) == substitute_by_convolution(f, CoordChange(1, t, t, 1))

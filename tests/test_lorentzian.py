@@ -195,6 +195,23 @@ def test_approximate_refuses_an_unreachable_epsilon(monkeypatch, epsilon):
     assert built == []
 
 
+def test_approximate_refuses_more_steps_than_its_budget(monkeypatch):
+    """At most `budget` approximants are built, so more steps can never be
+    met: refused before the first substitution."""
+    mixed = []
+    monkeypatch.setattr(lorentzian, "symmetric_mix", lambda *args: mixed.append(args))
+    for form, i in ((monomial(10, 10), 3), (monomial(5, 5), 1), (NSL, 2)):
+        with pytest.raises(BudgetError, match="steps 65 exceeds the halving budget 64"):
+            approximate_tp(form, i, steps=65)
+        with pytest.raises(BudgetError, match="steps 4 exceeds the halving budget 3"):
+            approximate_tp(form, i, steps=4, epsilon=Fraction(1, 8), budget=3)
+        with pytest.raises(BudgetError, match="steps 8 exceeds the halving budget 7"):
+            approximate_tp(form, i, budget=7)  # the default of 8 steps
+    assert mixed == []
+    good = BivariateForm(3, [26, 17, 11, 7])  # strict: returned as its own copies
+    assert approximate_tp(good, 1, steps=100, budget=3) == [ApproxStep(good, (), None, Fraction(0))] * 100
+
+
 def test_strict_input_meets_epsilon_zero():
     good = BivariateForm(3, [26, 17, 11, 7])
     assert approximate_tp(good, 1, epsilon=0) == [ApproxStep(good, (), None, Fraction(0))]
