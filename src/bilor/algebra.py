@@ -67,7 +67,7 @@ class XYPoly:
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self):
-        coeffs = tuple(Fraction(c) for c in self.coeffs)
+        coeffs = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in self.coeffs)
         if len(coeffs) != self.degree + 1:
             raise ShapeError("coefficient count does not match degree")
         object.__setattr__(self, "coeffs", coeffs)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, lcm, perm
 
 from .errors import DegreeError, FormatError, PreconditionError, ShapeError
 from .verdict import fmt_rat, parse_rational
@@ -26,7 +26,7 @@ class BivariateForm:
     def __post_init__(self):
         if self.degree < 0:
             raise DegreeError("form degree must be nonnegative")
-        coeffs = tuple(Fraction(c) for c in self.coeffs)
+        coeffs = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in self.coeffs)
         if len(coeffs) != self.degree + 1:
             raise ShapeError(
                 f"degree {self.degree} form needs {self.degree + 1} coefficients, "
@@ -154,14 +154,6 @@ class CoordChange:
         )
 
 
-def _partial_x(c: tuple[Fraction, ...], d: int) -> tuple[Fraction, ...]:
-    return tuple(d * c[k + 1] for k in range(d))
-
-
-def _partial_y(c: tuple[Fraction, ...], d: int) -> tuple[Fraction, ...]:
-    return tuple(d * c[k] for k in range(d))
-
-
 def derive(form: BivariateForm, terms) -> BivariateForm:
     """Apply the differential operator sum(coef * d_x^j d_y^k) to the form.
 
@@ -180,18 +172,12 @@ def derive(form: BivariateForm, terms) -> BivariateForm:
     d = form.degree
     if e > d:
         raise DegreeError(f"operator degree {e} exceeds form degree {d}")
-    out = tuple(Fraction(0) for _ in range(d - e + 1))
-    for j, k, coef in terms:
-        if coef == 0:
-            continue
-        c, deg = form.coeffs, d
-        for _ in range(j):
-            c = _partial_x(c, deg)
-            deg -= 1
-        for _ in range(k):
-            c = _partial_y(c, deg)
-            deg -= 1
-        out = tuple(o + coef * x for o, x in zip(out, c))
+    # d_x^j d_y^k sends the normalized c_m to perm(d, e) * c_(m+j)
+    c, scale = form.coeffs, perm(d, e)
+    shifts = [(j, coef) for j, _, coef in terms if coef != 0]
+    out = tuple(
+        scale * sum((coef * c[m + j] for j, coef in shifts), Fraction(0)) for m in range(d - e + 1)
+    )
     return BivariateForm(d - e, out)
 
 

@@ -20,7 +20,6 @@ from .forms import (
     BivariateForm,
     CoordChange,
     LinearForm,
-    monomial,
     symmetric_mix,
     substitute,
 )
@@ -144,7 +143,8 @@ def _certified_approximant(form, i, scale, budget, cap):
         t = Fraction(scale)
         u = Fraction(scale)
         for _ in range(budget):
-            cand = symmetric_mix(cur, t) + (sign * u) * monomial(d, 0)
+            mixed = symmetric_mix(cur, t).coeffs  # the nudge adds sign*u*Y^d: c_0 only
+            cand = BivariateForm(d, (mixed[0] + sign * u, *mixed[1:]))
             window = toeplitz.from_form(cand, i)
             if (
                 toeplitz.is_totally_nonnegative(window, cap).passed

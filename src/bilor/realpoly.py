@@ -1,14 +1,15 @@
 """Univariate polynomials over the rationals and exact real-root counting.
 
-A polynomial is a list of ``Fraction`` coefficients in ascending order of
-degree; the zero polynomial is the empty list.  Root counts are computed with
-Sturm chains on the square-free factors from Yun's decomposition, so
-multiplicities are exact and no numerical root finding is involved.
+A polynomial is a list of coefficients in ascending order of degree; the zero
+polynomial is the empty list.  Root counts use Sturm's theorem on a primitive
+integer remainder sequence; multiplicities come from repeating the count on
+gcd(q, q'), so no numerical root finding is involved.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import ZeroPolynomialError
 
@@ -35,19 +36,6 @@ def is_zero(p: Poly) -> bool:
     return all(x == 0 for x in p)
 
 
-def add(p: Poly, q: Poly) -> Poly:
-    n = max(len(p), len(q))
-    return trim([(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n)])
-
-
-def neg(p: Poly) -> Poly:
-    return [-x for x in p]
-
-
-def sub(p: Poly, q: Poly) -> Poly:
-    return add(p, neg(q))
-
-
 def mul(p: Poly, q: Poly) -> Poly:
     if not p or not q:
         return []
@@ -60,160 +48,63 @@ def mul(p: Poly, q: Poly) -> Poly:
     return trim(out)
 
 
-def scale(p: Poly, c) -> Poly:
-    c = Fraction(c)
-    if c == 0:
-        return []
-    return [x * c for x in p]
+def _primitive(p: list[int]) -> list[int]:
+    g = gcd(*p)
+    return [x // g for x in p]
 
 
-def poly_divmod(p: Poly, q: Poly) -> tuple[Poly, Poly]:
-    q = trim(q)
-    if is_zero(q):
-        raise ZeroPolynomialError("division by the zero polynomial")
-    r = list(p)
-    d = degree(q)
-    lead = q[-1]
-    quot = [Fraction(0)] * max(len(p) - d, 0)
-    while len(r) - 1 >= d and any(x != 0 for x in r):
-        r = trim(r)
-        if degree(r) < d:
+def sturm_chain(q: list[int]) -> list[list[int]]:
+    """Sturm chain of a nonconstant trimmed integer polynomial q.
+
+    After q and the primitive part of q', each term is minus the
+    pseudo-remainder of the two before it, scaled by a power of |lc| (never
+    a signed lc) and reduced to its primitive part; so every term is a
+    positive multiple of the classical Sturm term, and the last one is
+    gcd(q, q') up to a constant.
+    """
+    chain = [q, _primitive([k * x for k, x in enumerate(q)][1:])]
+    while len(chain[-1]) > 1:
+        r, b = chain[-2], chain[-1]
+        mag, lead = abs(b[-1]), (1 if b[-1] > 0 else -1)
+        while len(r) >= len(b):
+            c, shift = lead * r[-1], len(r) - len(b)
+            r = [mag * x for x in r[:-1]]
+            for i, y in enumerate(b[:-1]):
+                r[i + shift] -= c * y
+            while r and r[-1] == 0:
+                r.pop()
+        if not r:
             break
-        f = r[-1] / lead
-        k = degree(r) - d
-        quot[k] = f
-        for i in range(len(q)):
-            r[i + k] -= f * q[i]
-        r = trim(r)
-    return trim(quot), trim(r)
+        chain.append(_primitive([-x for x in r]))
+    return chain
 
 
-def derivative(p: Poly) -> Poly:
-    return trim([p[i] * i for i in range(1, len(p))])
+def _variations(values) -> int:
+    seq = [x > 0 for x in values if x != 0]
+    return sum(a != b for a, b in zip(seq, seq[1:]))
 
 
-def evaluate(p: Poly, x) -> Fraction:
-    x = Fraction(x)
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-def monic(p: Poly) -> Poly:
-    p = trim(p)
-    if not p:
-        return p
-    lead = p[-1]
-    return [x / lead for x in p]
-
-
-def poly_gcd(p: Poly, q: Poly) -> Poly:
-    """Monic gcd; gcd(p, 0) = monic(p)."""
-    a, b = trim(p), trim(q)
-    while b:
-        a, b = b, poly_divmod(a, b)[1]
-    return monic(a)
-
-
-def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
-    """Yun's algorithm: [(g, e), ...] with monic square-free coprime g and
-    p = lead * prod g^e."""
-    p = trim(p)
-    if is_zero(p):
-        raise ZeroPolynomialError("square-free decomposition of zero")
-    p = monic(p)
-    if degree(p) == 0:
-        return []
-    dp = derivative(p)
-    a = poly_gcd(p, dp)
-    b = poly_divmod(p, a)[0]
-    c = sub(poly_divmod(dp, a)[0], derivative(b))
-    out = []
-    e = 1
-    while degree(b) > 0:
-        g = poly_gcd(b, c)
-        if degree(g) > 0:
-            out.append((g, e))
-        b = poly_divmod(b, g)[0]
-        c = sub(poly_divmod(c, g)[0], derivative(b))
-        e += 1
-    return out
-
-
-def sturm_chain(p: Poly) -> list[Poly]:
-    chain = [trim(p), derivative(p)]
-    while not is_zero(chain[-1]) and degree(chain[-1]) > 0:
-        rem = poly_divmod(chain[-2], chain[-1])[1]
-        if is_zero(rem):
-            break
-        chain.append(neg(rem))
-    return [q for q in chain if not is_zero(q)]
-
-
-def _variations(signs) -> int:
-    seq = [s for s in signs if s != 0]
-    return sum(1 for a, b in zip(seq, seq[1:]) if a * b < 0)
-
-
-def _sign(x) -> int:
-    return (x > 0) - (x < 0)
-
-
-def _variations_at_point(chain, x) -> int:
-    return _variations([_sign(evaluate(q, x)) for q in chain])
-
-
-def _variations_at_inf(chain, positive: bool) -> int:
-    signs = []
-    for q in chain:
-        s = _sign(q[-1])
-        if not positive and degree(q) % 2 == 1:
-            s = -s
-        signs.append(s)
-    return _variations(signs)
-
-
-def _counts_squarefree(g: Poly) -> tuple[int, int]:
-    """(distinct real roots, distinct roots <= 0) of a square-free g."""
-    g = trim(g)
-    if degree(g) <= 0:
-        return 0, 0
-    at_zero = 0
-    if g[0] == 0:  # square-free, so t divides exactly once
-        g = trim(g[1:])
-        at_zero = 1
-        if degree(g) <= 0:
-            return at_zero, at_zero
-    chain = sturm_chain(g)
-    v_neg = _variations_at_inf(chain, positive=False)
-    v_pos = _variations_at_inf(chain, positive=True)
-    v_zero = _variations_at_point(chain, 0)
-    total = v_neg - v_pos + at_zero
-    nonpos = v_neg - v_zero + at_zero
-    return total, nonpos
-
-
-def count_roots(p: Poly) -> tuple[int, int]:
+def count_roots(p) -> tuple[int, int]:
     """(real roots, real roots <= 0), both counted with multiplicity.
 
     Raises ZeroPolynomialError on the zero polynomial; a nonzero constant has
-    no roots.
+    no roots.  The factor t^z gives z roots at 0; on the rest q, each round
+    counts the distinct roots of q from the signs of its Sturm chain at -inf,
+    0 and +inf, then moves on to gcd(q, q'), so a root of multiplicity m is
+    counted in m rounds.
     """
     p = trim(p)
-    if is_zero(p):
+    if not p:
         raise ZeroPolynomialError("root count of the zero polynomial")
-    total = nonpos = 0
-    for g, e in squarefree_decomposition(p):
-        t, n = _counts_squarefree(g)
-        total += e * t
-        nonpos += e * n
+    den = lcm(*(x.denominator for x in p))
+    q = [x.numerator * (den // x.denominator) for x in p]
+    z = next(k for k, x in enumerate(q) if x != 0)
+    q = _primitive(q[z:])
+    total = nonpos = z
+    while len(q) > 1:
+        chain = sturm_chain(q)
+        at_neg = _variations(s[-1] if len(s) % 2 else -s[-1] for s in chain)
+        total += at_neg - _variations(s[-1] for s in chain)
+        nonpos += at_neg - _variations(s[0] for s in chain)
+        q = chain[-1]
     return total, nonpos
-
-
-def poly_from_roots(roots) -> Poly:
-    """Monic polynomial with the given (rational) roots."""
-    p = [Fraction(1)]
-    for r in roots:
-        p = mul(p, [-Fraction(r), Fraction(1)])
-    return p

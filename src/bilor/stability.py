@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import realpoly, toeplitz
-from .errors import ZeroPolynomialError
 from .forms import BivariateForm, from_monomial_coeffs
 from .verdict import MinorWitness, Verdict
 
@@ -36,13 +35,10 @@ class RootCount:
 def count_roots(poly, expected_degree: int | None = None) -> RootCount:
     """Real roots (with multiplicity) of a rational polynomial, total and in
     (-inf, 0]; the degree drop against `expected_degree` is reported too."""
-    p = realpoly.trim([Fraction(x) for x in poly])
-    if realpoly.is_zero(p):
-        raise ZeroPolynomialError("root count of the zero polynomial")
-    total, nonpos = realpoly.count_roots(p)
+    total, nonpos = realpoly.count_roots(poly)
     drop = 0
     if expected_degree is not None:
-        drop = expected_degree - realpoly.degree(p)
+        drop = expected_degree - realpoly.degree(poly)
     return RootCount(total, nonpos, drop)
 
 

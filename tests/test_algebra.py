@@ -71,6 +71,9 @@ def test_annihilator_generators_frozen():
     g1, g2 = annihilator_generators(SQ2)
     assert g1.text() == "x*y"
     assert g2.text() == "x^2 - y^2"
+    h = XYPoly(2, [1, "-1/2", Fraction(2, 3)])  # int and string input
+    assert h.coeffs == (1, Fraction(-1, 2), Fraction(2, 3))
+    assert all(type(c) is Fraction for c in h.coeffs + f1.coeffs + f2.coeffs)
 
 
 def test_annihilator_generators_annihilate():

@@ -26,7 +26,7 @@ from bilor import (
     symmetric_mix,
 )
 
-from oracles import substitute_by_convolution
+from oracles import derive_by_partials, substitute_by_convolution
 from support import rand_fraction, random_form
 
 fractions_st = st.fractions(min_value=-50, max_value=50, max_denominator=8)
@@ -45,6 +45,9 @@ def test_normalized_vs_monomial_coefficients():
 
 
 def test_coefficient_count_must_match_degree():
+    f = BivariateForm(2, [1, "1/2", Fraction(3, 4)])  # int and string input
+    assert f.coeffs == (1, Fraction(1, 2), Fraction(3, 4))
+    assert all(type(c) is Fraction for c in f.coeffs)
     with pytest.raises(ShapeError):
         BivariateForm(3, [1, 2, 3])
     with pytest.raises(DegreeError):
@@ -201,6 +204,24 @@ def test_derive_rejects_bad_term_data():
         derive(f, [(2, 1, 1)])
     with pytest.raises(DegreeError):
         derive(f, [(1, 0, 1), (0, 2, 1)])  # mixed degrees
+
+
+def test_derive_matches_repeated_partials():
+    rng = Random(7)
+    for n in range(120):
+        d = n % 13
+        f = random_form(rng, d)
+        for j in range(d + 1):
+            for k in range(d + 1 - j):
+                coef = rand_fraction(rng)
+                assert derive(f, [(j, k, coef)]) == derive_by_partials(f, [(j, k, coef)])
+        e = rng.randint(0, d)
+        terms = [(j, e - j, rng.choice([0, rand_fraction(rng)])) for j in range(e + 1)]
+        terms += [(e, 0, 0), (0, e, rand_fraction(rng))]  # a zero term and a repeated one
+        rng.shuffle(terms)
+        got = derive(f, terms)
+        assert got == derive_by_partials(f, terms)
+        assert all(type(c) is Fraction for c in got.coeffs)
 
 
 @given(small_forms, st.integers(0, 2), st.integers(0, 2))
