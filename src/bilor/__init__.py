@@ -46,7 +46,6 @@ from .hessians import (
     mixture_weights,
     reversal_det,
     signature,
-    signature_via_roots,
 )
 from .lorentzian import (
     ApproxStep,

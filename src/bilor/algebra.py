@@ -10,7 +10,6 @@ Lefschetz / Hodge-Riemann style determinant checks, ordinary and mixed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -28,15 +27,17 @@ from .hessians import (
     hessian_family,
     reversal_det,
 )
-from .verdict import HrrFailure, HrrVerdict, fmt_rat
+from .verdict import Frozen, HrrFailure, HrrVerdict, fmt_rat
 
 
-@dataclass(frozen=True)
-class AlgebraProfile:
-    degree: int
-    hilbert: tuple[int, ...]
-    sperner: int
-    socle_degree: int
+class AlgebraProfile(Frozen):
+    __slots__ = ("degree", "hilbert", "sperner", "socle_degree")
+
+    def __init__(self, degree: int, hilbert: tuple[int, ...], sperner: int, socle_degree: int):
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "hilbert", hilbert)
+        object.__setattr__(self, "sperner", sperner)
+        object.__setattr__(self, "socle_degree", socle_degree)
 
 
 def profile(form: BivariateForm) -> AlgebraProfile:
@@ -56,20 +57,19 @@ def profile(form: BivariateForm) -> AlgebraProfile:
     return AlgebraProfile(d, tuple(hilbert), max(half), d)
 
 
-@dataclass(frozen=True)
-class XYPoly:
+class XYPoly(Frozen):
     """Homogeneous polynomial in the dual (differentiation) variables x, y.
 
     coeffs[p] multiplies x^p * y^(degree-p).
     """
 
-    degree: int
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("degree", "coeffs")
 
-    def __post_init__(self):
-        coeffs = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in self.coeffs)
-        if len(coeffs) != self.degree + 1:
+    def __init__(self, degree: int, coeffs: tuple[Fraction, ...]):
+        coeffs = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in coeffs)
+        if len(coeffs) != degree + 1:
             raise ShapeError("coefficient count does not match degree")
+        object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "coeffs", coeffs)
 
     @property
@@ -183,11 +183,13 @@ def annihilator_generators(form: BivariateForm) -> tuple[XYPoly, XYPoly]:
     return f1, f2
 
 
-@dataclass(frozen=True)
-class PrimitiveBasis:
-    degree: int
-    vectors: tuple[tuple[Fraction, ...], ...]
-    expected_dim: int
+class PrimitiveBasis(Frozen):
+    __slots__ = ("degree", "vectors", "expected_dim")
+
+    def __init__(self, degree: int, vectors: tuple[tuple[Fraction, ...], ...], expected_dim: int):
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "vectors", vectors)
+        object.__setattr__(self, "expected_dim", expected_dim)
 
     @property
     def matches(self) -> bool:

@@ -19,7 +19,6 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import Callable, NamedTuple
 
 from . import algebra, hessians, linalg, lorentzian, paths, stability, toeplitz
 from .errors import BilorError, FormatError
@@ -249,24 +248,13 @@ def cmd_primitive(args, payload: dict) -> None:
     payload["matches"] = basis.matches
 
 
-def _root_count(form) -> dict | None:
-    """Root counts of the dehomogenization, when no monomial coefficient is negative."""
-    if form.is_zero or any(x < 0 for x in form.monomial_coeffs()):
-        return None
-    return stability.count_roots(stability.dehomogenize(form), form.degree).to_json()
-
-
 def cmd_stable(args, payload: dict) -> None:
     form = _form(args, payload)
-    payload["verdict"] = stability.is_stable(form).to_json()
-    payload["roots"] = _root_count(form)
-
-
-def cmd_normally_stable(args, payload: dict) -> None:
-    form = _form(args, payload)
-    payload["verdict"] = stability.is_normally_stable(form).to_json()
-    # the companion form's monomial coefficients are the normalized ones
-    payload["roots"] = _root_count(from_monomial_coeffs(form.coeffs))
+    if args.command == "normally-stable":  # the companion with the normalized coefficients
+        form = from_monomial_coeffs(form.coeffs)
+    verdict, roots = stability._stable(form, args.command)
+    payload["verdict"] = verdict.to_json()
+    payload["roots"] = None if roots is None else roots.to_json()
 
 
 def cmd_pf(args, payload: dict) -> None:
@@ -318,14 +306,8 @@ def cmd_verify_factorization(args, payload: dict) -> None:
     payload["verdict"] = paths.verify_factorization(form, args.order, pts).to_json()
 
 
-class Command(NamedTuple):
-    name: str
-    help: str | None  # None hides the command from the usage line and the help
-    handler: Callable[[argparse.Namespace, dict], None]
-    args: tuple = ()  # (flags, add_argument keywords) after --form / --form-file
-
-
 def _arg(*flags: str, **kwargs) -> tuple:
+    """One argument of a row: (flags, add_argument keywords)."""
     return flags, kwargs
 
 
@@ -333,53 +315,52 @@ ORDER = _arg("--order", "--i", "-i", type=int, required=True)
 ELL = _arg("--ell", required=True, help="linear form a,b")
 UP_TO = _arg("--up-to", type=int)
 
+# (name, help or None to hide it, handler, arguments after --form / --form-file)
 COMMANDS = (
-    Command("classify", "strict/non-strict Lorentzian order", cmd_classify,
-            (_arg("--max-order", type=int),)),
-    Command("toeplitz", "coefficient window, rank, TP/TN verdicts", cmd_toeplitz, (
+    ("classify", "strict/non-strict Lorentzian order", cmd_classify,
+     (_arg("--max-order", type=int),)),
+    ("toeplitz", "coefficient window, rank, TP/TN verdicts", cmd_toeplitz, (
         _arg("--order", "--i", "-i", type=int),
         _arg("--matrix", help="raw matrix text `a,b;c,d` instead of a form"),
         _arg("--matrix-file"),
     )),
-    Command("hessian", "Hessian matrix, determinants, signature", cmd_hessian, (
+    ("hessian", "Hessian matrix, determinants, signature", cmd_hessian, (
         ORDER,
         _arg("--at", help="single evaluation point a,b"),
         _arg("--points", help="mixed evaluation points a,b;a,b;..."),
     )),
-    Command("hrr", "ordinary Hodge-Riemann check at a linear form", cmd_hrr_or_sl,
-            (ELL, UP_TO)),
-    Command("sl", "strong Lefschetz check at a linear form", cmd_hrr_or_sl, (ELL, UP_TO)),
-    Command("mixed-hrr", "mixed Hodge-Riemann: cone-backed or point sets", cmd_mixed_hrr, (
+    ("hrr", "ordinary Hodge-Riemann check at a linear form", cmd_hrr_or_sl, (ELL, UP_TO)),
+    ("sl", "strong Lefschetz check at a linear form", cmd_hrr_or_sl, (ELL, UP_TO)),
+    ("mixed-hrr", "mixed Hodge-Riemann: cone-backed or point sets", cmd_mixed_hrr, (
         UP_TO,
         _arg("--cone", choices=("open", "closed")),
         _arg("--generators", help="cone generators a,b;a,b (defaults to standard)"),
         _arg("--at-points", help="per-degree points: 0=a,b;a,b|1=a,b"),
     )),
-    Command("hilbert", "Hilbert function of the quotient algebra", cmd_hilbert),
-    Command("sperner", "largest value of the Hilbert function", cmd_sperner),
-    Command("annihilator", "the two annihilator generators", cmd_annihilator),
-    Command("primitive", "primitive subspace for given linear data", cmd_primitive, (
+    ("hilbert", "Hilbert function of the quotient algebra", cmd_hilbert, ()),
+    ("sperner", "largest value of the Hilbert function", cmd_sperner, ()),
+    ("annihilator", "the two annihilator generators", cmd_annihilator, ()),
+    ("primitive", "primitive subspace for given linear data", cmd_primitive, (
         _arg("--degree", "--j", "-j", type=int, required=True),
         _arg("--ell0", required=True, help="distinguished linear form a,b"),
         _arg("--ells", default="", help="remaining linear forms a,b;a,b;..."),
     )),
-    Command("stable", "homogeneous stability", cmd_stable),
-    Command("normally-stable", "stability of the normalized companion", cmd_normally_stable),
-    Command("pf", "total nonnegativity of all windows up to an order", cmd_pf,
-            (_arg("--window", type=int, required=True),)),
-    Command("approximate", "certified strictly-Lorentzian approximants", cmd_approximate, (
+    ("stable", "homogeneous stability", cmd_stable, ()),
+    ("normally-stable", "stability of the normalized companion", cmd_stable, ()),
+    ("pf", "total nonnegativity of all windows up to an order", cmd_pf,
+     (_arg("--window", type=int, required=True),)),
+    ("approximate", "certified strictly-Lorentzian approximants", cmd_approximate, (
         ORDER,
         _arg("--steps", type=int),
         _arg("--epsilon", help="target sup-norm distance (rational)"),
     )),
-    Command("straighten", "coordinate change from a Hodge-Riemann witness", cmd_straighten,
-            (ELL, ORDER)),
+    ("straighten", "coordinate change from a Hodge-Riemann witness", cmd_straighten, (ELL, ORDER)),
     # developer command: entrywise band factorization of the mixed Hessian
-    Command("verify-factorization", None, cmd_verify_factorization,
-            (ORDER, _arg("--points", default="", help="points a,b;a,b;... (d-2i of them)"))),
+    ("verify-factorization", None, cmd_verify_factorization,
+     (ORDER, _arg("--points", default="", help="points a,b;a,b;... (d-2i of them)"))),
 )
 
-PUBLIC_COMMANDS = ",".join(c.name for c in COMMANDS if c.help is not None)
+PUBLIC_COMMANDS = ",".join(name for name, help_text, _, _ in COMMANDS if help_text is not None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -391,15 +372,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("json", "table"), default="json", help="output format"
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar=f"{{{PUBLIC_COMMANDS}}}")
-    for command in COMMANDS:
+    for name, help_text, handler, arguments in COMMANDS:
         # argparse lists a subcommand in the help whenever `help` is passed at all
-        listed = {} if command.help is None else {"help": command.help}
-        p = sub.add_parser(command.name, **listed)
+        listed = {} if help_text is None else {"help": help_text}
+        p = sub.add_parser(name, **listed)
         p.add_argument("--form", help="form text (see README for accepted shapes)")
         p.add_argument("--form-file", help="file holding the form text")
-        for flags, kwargs in command.args:
+        for flags, kwargs in arguments:
             p.add_argument(*flags, **kwargs)
-        p.set_defaults(handler=command.handler)
+        p.set_defaults(handler=handler)
     return parser
 
 

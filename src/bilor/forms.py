@@ -10,28 +10,25 @@ package, take their simplest shape.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm, perm
 
 from .errors import DegreeError, FormatError, PreconditionError, ShapeError
-from .verdict import fmt_rat, parse_rational
+from .verdict import Frozen, fmt_rat, parse_rational
 
 
-@dataclass(frozen=True)
-class BivariateForm:
-    degree: int
-    coeffs: tuple[Fraction, ...]
+class BivariateForm(Frozen):
+    __slots__ = ("degree", "coeffs")
 
-    def __post_init__(self):
-        if self.degree < 0:
+    def __init__(self, degree: int, coeffs: tuple[Fraction, ...]):
+        if degree < 0:
             raise DegreeError("form degree must be nonnegative")
-        coeffs = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in self.coeffs)
-        if len(coeffs) != self.degree + 1:
+        coeffs = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in coeffs)
+        if len(coeffs) != degree + 1:
             raise ShapeError(
-                f"degree {self.degree} form needs {self.degree + 1} coefficients, "
-                f"got {len(coeffs)}"
+                f"degree {degree} form needs {degree + 1} coefficients, got {len(coeffs)}"
             )
+        object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "coeffs", coeffs)
 
     @property
@@ -90,14 +87,12 @@ def monomial(degree: int, xpower: int) -> BivariateForm:
     return from_monomial_coeffs(raw)
 
 
-@dataclass(frozen=True)
-class LinearForm:
-    a: Fraction
-    b: Fraction
+class LinearForm(Frozen):
+    __slots__ = ("a", "b")
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
+    def __init__(self, a: Fraction, b: Fraction):
+        object.__setattr__(self, "a", Fraction(a))
+        object.__setattr__(self, "b", Fraction(b))
 
     @property
     def is_zero(self) -> bool:
@@ -107,8 +102,7 @@ class LinearForm:
         return (self.a, self.b)
 
 
-@dataclass(frozen=True)
-class CoordChange:
+class CoordChange(Frozen):
     """Linear substitution sending F to F(p*X + r*Y, q*X + s*Y).
 
     The matrix of the change is ((p, r), (q, s)); composition matches matrix
@@ -116,14 +110,13 @@ class CoordChange:
     substitute(F, sigma.compose(tau)).
     """
 
-    p: Fraction
-    q: Fraction
-    r: Fraction
-    s: Fraction
+    __slots__ = ("p", "q", "r", "s")
 
-    def __post_init__(self):
-        for name in ("p", "q", "r", "s"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+    def __init__(self, p: Fraction, q: Fraction, r: Fraction, s: Fraction):
+        object.__setattr__(self, "p", Fraction(p))
+        object.__setattr__(self, "q", Fraction(q))
+        object.__setattr__(self, "r", Fraction(r))
+        object.__setattr__(self, "s", Fraction(s))
 
     @classmethod
     def identity(cls) -> "CoordChange":

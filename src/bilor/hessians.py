@@ -9,28 +9,34 @@ Lefschetz and Hodge-Riemann checks in :mod:`bilor.algebra`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, perm
 
 from . import linalg, realpoly
 from .errors import DegreeError, NotSymmetricError, ShapeError
+from .verdict import Frozen
 
 Matrix = list[list[Fraction]]
 
 
-@dataclass(frozen=True)
-class HessianFamily:
-    degree: int
-    order: int
-    base: tuple[tuple[tuple[Fraction, ...], ...], ...]
+class HessianFamily(Frozen):
+    __slots__ = ("degree", "order", "base")
+
+    def __init__(
+        self, degree: int, order: int, base: tuple[tuple[tuple[Fraction, ...], ...], ...]
+    ):
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "base", base)
 
 
-@dataclass(frozen=True)
-class SignatureReport:
-    positive: int
-    zero: int
-    negative: int
+class SignatureReport(Frozen):
+    __slots__ = ("positive", "zero", "negative")
+
+    def __init__(self, positive: int, zero: int, negative: int):
+        object.__setattr__(self, "positive", positive)
+        object.__setattr__(self, "zero", zero)
+        object.__setattr__(self, "negative", negative)
 
     def to_json(self) -> dict:
         return {
@@ -151,23 +157,3 @@ def signature(matrix) -> SignatureReport:
             for p in idx
         ]
     return SignatureReport(pos, zero, neg)
-
-
-def signature_via_roots(matrix) -> SignatureReport:
-    """Inertia read off the characteristic polynomial with Sturm counting.
-
-    Independent of :func:`signature`; used to cross-validate it.
-    """
-    m = linalg.copy_rows(matrix)
-    rows, cols = linalg.dims(m)
-    if rows != cols or not linalg.is_symmetric(m):
-        raise NotSymmetricError("signature needs a symmetric square matrix")
-    if rows == 0:
-        return SignatureReport(0, 0, 0)
-    p = linalg.charpoly(m)
-    zero = next(k for k, c in enumerate(p) if c != 0)
-    stripped = realpoly.trim(p[zero:])
-    total, nonpos = realpoly.count_roots(stripped)
-    if total != realpoly.degree(stripped):
-        raise ShapeError("characteristic polynomial of a symmetric matrix must be real-rooted")
-    return SignatureReport(total - nonpos, zero, nonpos)

@@ -180,26 +180,3 @@ def kernel_basis(rows) -> list[list[Fraction]]:
             v[pc] = -red[r][fc]
         basis.append(v)
     return basis
-
-
-def charpoly(rows) -> list[Fraction]:
-    """Characteristic polynomial det(t*I - M), coefficients ascending in t.
-
-    Faddeev-LeVerrier recursion; exact over the rationals.
-    """
-    m, n = dims(rows)
-    if m != n:
-        raise ShapeError("characteristic polynomial of non-square matrix")
-    a = copy_rows(rows)
-    coeffs = [Fraction(1)]  # leading coefficient of t^n
-    mk = identity(n)
-    c = Fraction(1)
-    for k in range(1, n + 1):
-        if k > 1:
-            mk = mat_mul(a, mk)
-            for i in range(n):
-                mk[i][i] += c
-        am = mat_mul(a, mk)
-        c = -sum((am[i][i] for i in range(n)), Fraction(0)) / k
-        coeffs.append(c)
-    return list(reversed(coeffs))

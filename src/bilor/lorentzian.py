@@ -11,7 +11,6 @@ explicit sequence of certified strictly i-Lorentzian forms converging to it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import toeplitz
@@ -23,7 +22,7 @@ from .forms import (
     symmetric_mix,
     substitute,
 )
-from .verdict import MinorWitness, Verdict
+from .verdict import Frozen, MinorWitness, Verdict
 
 DEFAULT_BUDGET = 64
 
@@ -77,12 +76,20 @@ def newton_ulc_check(form: BivariateForm) -> Verdict:
     return Verdict("ulc", True)
 
 
-@dataclass(frozen=True)
-class LorentzClass:
-    degree: int
-    order_strict: int
-    order: int
-    per_order: tuple[tuple[Verdict, Verdict], ...]
+class LorentzClass(Frozen):
+    __slots__ = ("degree", "order_strict", "order", "per_order")
+
+    def __init__(
+        self,
+        degree: int,
+        order_strict: int,
+        order: int,
+        per_order: tuple[tuple[Verdict, Verdict], ...],
+    ):
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "order_strict", order_strict)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "per_order", per_order)
 
 
 def classify(form: BivariateForm, max_order: int | None = None, cap: int | None = None) -> LorentzClass:
@@ -103,8 +110,7 @@ def classify(form: BivariateForm, max_order: int | None = None, cap: int | None 
     return LorentzClass(d, order_strict, order, tuple(per))
 
 
-@dataclass(frozen=True)
-class ApproxStep:
+class ApproxStep(Frozen):
     """One certified output of the approximation scheme.
 
     `rank_steps` records the (t, u) parameters of each rank-raising move,
@@ -113,10 +119,19 @@ class ApproxStep:
     distance to the target form.
     """
 
-    form: BivariateForm
-    rank_steps: tuple[tuple[Fraction, Fraction], ...]
-    final_mix: Fraction | None
-    distance: Fraction
+    __slots__ = ("form", "rank_steps", "final_mix", "distance")
+
+    def __init__(
+        self,
+        form: BivariateForm,
+        rank_steps: tuple[tuple[Fraction, Fraction], ...],
+        final_mix: Fraction | None,
+        distance: Fraction,
+    ):
+        object.__setattr__(self, "form", form)
+        object.__setattr__(self, "rank_steps", rank_steps)
+        object.__setattr__(self, "final_mix", final_mix)
+        object.__setattr__(self, "distance", distance)
 
 
 def _distance(a: BivariateForm, b: BivariateForm) -> Fraction:

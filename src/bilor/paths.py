@@ -11,7 +11,6 @@ band-matrix factorization of the row-reversed mixed Hessian.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import factorial
@@ -20,7 +19,7 @@ from . import linalg
 from .errors import BudgetError, ShapeError
 from .forms import BivariateForm
 from .hessians import evaluate_mixed_hessian, hessian_family, mixture_weights
-from .verdict import MinorWitness, Verdict
+from .verdict import Frozen, MinorWitness, Verdict
 
 DEFAULT_PATH_BUDGET = 1_000_000
 
@@ -47,12 +46,20 @@ def path_matrix(band: int, weights, rows, cols) -> list[list[Fraction]]:
     return out
 
 
-@dataclass(frozen=True)
-class PathMatrixWindow:
-    band: int
-    weights: tuple[tuple[Fraction, Fraction], ...]
-    rows: tuple[int, ...]
-    cols: tuple[int, ...]
+class PathMatrixWindow(Frozen):
+    __slots__ = ("band", "weights", "rows", "cols")
+
+    def __init__(
+        self,
+        band: int,
+        weights: tuple[tuple[Fraction, Fraction], ...],
+        rows: tuple[int, ...],
+        cols: tuple[int, ...],
+    ):
+        object.__setattr__(self, "band", band)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
 
     def to_dense(self) -> list[list[Fraction]]:
         return path_matrix(self.band, self.weights, self.rows, self.cols)

@@ -10,19 +10,20 @@ ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import realpoly, toeplitz
 from .forms import BivariateForm, from_monomial_coeffs
-from .verdict import MinorWitness, Verdict
+from .verdict import Frozen, MinorWitness, Verdict
 
 
-@dataclass(frozen=True)
-class RootCount:
-    total_real: int
-    nonpositive_real: int
-    degree_drop: int
+class RootCount(Frozen):
+    __slots__ = ("total_real", "nonpositive_real", "degree_drop")
+
+    def __init__(self, total_real: int, nonpositive_real: int, degree_drop: int):
+        object.__setattr__(self, "total_real", total_real)
+        object.__setattr__(self, "nonpositive_real", nonpositive_real)
+        object.__setattr__(self, "degree_drop", degree_drop)
 
     def to_json(self) -> dict:
         return {
@@ -47,32 +48,33 @@ def dehomogenize(form: BivariateForm) -> list[Fraction]:
     return realpoly.trim(list(reversed(form.monomial_coeffs())))
 
 
-def is_stable(form: BivariateForm) -> Verdict:
+def _stable(form: BivariateForm, prop: str = "stable") -> tuple[Verdict, RootCount | None]:
+    """The stability verdict, named `prop`, with the root count it was read
+    off; the count is None when the zero form or a negative coefficient
+    decides first."""
     if form.is_zero:
-        return Verdict("stable", True, detail="zero form")
+        return Verdict(prop, True, detail="zero form"), None
     raw = form.monomial_coeffs()
     for k, x in enumerate(raw):
         if x < 0:
-            return Verdict(
-                "stable",
-                False,
-                MinorWitness((0,), (k,), x),
-                "negative monomial coefficient",
-            )
+            witness = MinorWitness((0,), (k,), x)
+            return Verdict(prop, False, witness, "negative monomial coefficient"), None
     rc = count_roots(dehomogenize(form), form.degree)
-    f_degree = form.degree - rc.degree_drop
-    if rc.total_real < f_degree:
-        return Verdict("stable", False, detail="dehomogenization is not real-rooted")
+    if rc.total_real < form.degree - rc.degree_drop:
+        return Verdict(prop, False, detail="dehomogenization is not real-rooted"), rc
     if rc.nonpositive_real < rc.total_real:
-        return Verdict("stable", False, detail="positive real root present")
-    return Verdict("stable", True)
+        return Verdict(prop, False, detail="positive real root present"), rc
+    return Verdict(prop, True), rc
+
+
+def is_stable(form: BivariateForm) -> Verdict:
+    return _stable(form)[0]
 
 
 def is_normally_stable(form: BivariateForm) -> Verdict:
     """Stability of the companion form whose monomial coefficients are the
     normalized coefficients of the input."""
-    inner = is_stable(from_monomial_coeffs(form.coeffs))
-    return Verdict("normally-stable", inner.passed, inner.witness, inner.detail)
+    return _stable(from_monomial_coeffs(form.coeffs), "normally-stable")[0]
 
 
 def pf_window_check(form: BivariateForm, up_to: int, cap: int | None = None) -> Verdict:

@@ -13,7 +13,6 @@ C(m+n, m) - 1 minors: nonnegative consecutive minors do not certify it
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, takewhile
 from math import prod
@@ -21,26 +20,25 @@ from math import prod
 from . import linalg
 from .errors import DegreeError, FormatError, MinorCapError, ShapeError
 from .forms import BivariateForm
-from .verdict import MinorWitness, Verdict, fmt_rat, parse_rational
+from .verdict import Frozen, MinorWitness, Verdict, fmt_rat, parse_rational
 
 DEFAULT_MINOR_CAP = 8
 
 
-@dataclass(frozen=True)
-class ToeplitzMatrix:
-    rows: int
-    cols: int
-    diag: tuple[Fraction, ...]
+class ToeplitzMatrix(Frozen):
+    __slots__ = ("rows", "cols", "diag")
 
-    def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
+    def __init__(self, rows: int, cols: int, diag: tuple[Fraction, ...]):
+        if rows < 1 or cols < 1:
             raise ShapeError("empty Toeplitz matrix")
-        diag = tuple(x if isinstance(x, Fraction) else Fraction(x) for x in self.diag)
-        if len(diag) != self.rows + self.cols - 1:
+        diag = tuple(x if isinstance(x, Fraction) else Fraction(x) for x in diag)
+        if len(diag) != rows + cols - 1:
             raise ShapeError(
-                f"{self.rows}x{self.cols} Toeplitz matrix needs "
-                f"{self.rows + self.cols - 1} diagonal values, got {len(diag)}"
+                f"{rows}x{cols} Toeplitz matrix needs "
+                f"{rows + cols - 1} diagonal values, got {len(diag)}"
             )
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "diag", diag)
 
     def entry(self, p: int, q: int) -> Fraction:

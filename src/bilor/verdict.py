@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import FormatError
@@ -37,13 +36,48 @@ def parse_rational(text: str) -> Fraction:
         raise FormatError(f"bad rational {text!r}") from exc
 
 
-@dataclass(frozen=True)
-class MinorWitness:
+class Frozen:
+    """Base of the immutable value types: a subclass names its fields in
+    ``__slots__`` and sets each once in its own ``__init__``.  An instance
+    equals only one of the same class with equal fields, hashes as its field
+    tuple, prints as ``Name(field=value, ...)`` and refuses assignment."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class MinorWitness(Frozen):
     """A single minor pinned down by row/column index sets and its exact value."""
 
-    rows: tuple[int, ...]
-    cols: tuple[int, ...]
-    value: Fraction
+    __slots__ = ("rows", "cols", "value")
+
+    def __init__(self, rows: tuple[int, ...], cols: tuple[int, ...], value: Fraction):
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "value", value)
 
     def to_json(self) -> dict:
         return {
@@ -53,8 +87,7 @@ class MinorWitness:
         }
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Frozen):
     """Outcome of a yes/no property test.
 
     A failing verdict carries a witness (the offending minor) whenever the
@@ -62,10 +95,19 @@ class Verdict:
     special cases such as the zero form.
     """
 
-    prop: str
-    passed: bool
-    witness: MinorWitness | None = None
-    detail: str | None = None
+    __slots__ = ("prop", "passed", "witness", "detail")
+
+    def __init__(
+        self,
+        prop: str,
+        passed: bool,
+        witness: MinorWitness | None = None,
+        detail: str | None = None,
+    ):
+        object.__setattr__(self, "prop", prop)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "detail", detail)
 
     def __bool__(self) -> bool:
         return self.passed
@@ -79,16 +121,24 @@ class Verdict:
         }
 
 
-@dataclass(frozen=True)
-class HrrFailure:
+class HrrFailure(Frozen):
     """Where a Lefschetz-type check failed: the degree, the evaluation
     point(s) used, the offending determinant, and — for cone-backed checks —
     the failing minor."""
 
-    degree: int | None = None
-    points: tuple[tuple[Fraction, Fraction], ...] | None = None
-    value: Fraction | None = None
-    minor: MinorWitness | None = None
+    __slots__ = ("degree", "points", "value", "minor")
+
+    def __init__(
+        self,
+        degree: int | None = None,
+        points: tuple[tuple[Fraction, Fraction], ...] | None = None,
+        value: Fraction | None = None,
+        minor: MinorWitness | None = None,
+    ):
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "minor", minor)
 
     def to_json(self) -> dict:
         return {
@@ -101,15 +151,24 @@ class HrrFailure:
         }
 
 
-@dataclass(frozen=True)
-class HrrVerdict:
+class HrrVerdict(Frozen):
     """Outcome of SL / HRR / mixed-HRR checks up to a given degree."""
 
-    prop: str
-    up_to: int
-    passed: bool
-    failure: HrrFailure | None = None
-    detail: str | None = None
+    __slots__ = ("prop", "up_to", "passed", "failure", "detail")
+
+    def __init__(
+        self,
+        prop: str,
+        up_to: int,
+        passed: bool,
+        failure: HrrFailure | None = None,
+        detail: str | None = None,
+    ):
+        object.__setattr__(self, "prop", prop)
+        object.__setattr__(self, "up_to", up_to)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "failure", failure)
+        object.__setattr__(self, "detail", detail)
 
     def __bool__(self) -> bool:
         return self.passed

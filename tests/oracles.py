@@ -2,7 +2,15 @@
 
 from fractions import Fraction
 
-from bilor import BivariateForm, ZeroPolynomialError, from_monomial_coeffs
+from bilor import (
+    BivariateForm,
+    NotSymmetricError,
+    ShapeError,
+    SignatureReport,
+    ZeroPolynomialError,
+    from_monomial_coeffs,
+)
+from bilor import linalg, realpoly
 
 
 def _conv(u, v):
@@ -264,3 +272,46 @@ def poly_from_roots(roots) -> Poly:
     for r in roots:
         p = mul(p, [-Fraction(r), Fraction(1)])
     return p
+
+
+def charpoly(rows) -> list[Fraction]:
+    """Characteristic polynomial det(t*I - M), coefficients ascending in t.
+
+    Faddeev-LeVerrier recursion; exact over the rationals.
+    """
+    m, n = linalg.dims(rows)
+    if m != n:
+        raise ShapeError("characteristic polynomial of non-square matrix")
+    a = linalg.copy_rows(rows)
+    coeffs = [Fraction(1)]  # leading coefficient of t^n
+    mk = linalg.identity(n)
+    c = Fraction(1)
+    for k in range(1, n + 1):
+        if k > 1:
+            mk = linalg.mat_mul(a, mk)
+            for i in range(n):
+                mk[i][i] += c
+        am = linalg.mat_mul(a, mk)
+        c = -sum((am[i][i] for i in range(n)), Fraction(0)) / k
+        coeffs.append(c)
+    return list(reversed(coeffs))
+
+
+def signature_via_roots(matrix) -> SignatureReport:
+    """Inertia read off the characteristic polynomial with Sturm counting.
+
+    Independent of `bilor.signature`; used to cross-validate it.
+    """
+    m = linalg.copy_rows(matrix)
+    rows, cols = linalg.dims(m)
+    if rows != cols or not linalg.is_symmetric(m):
+        raise NotSymmetricError("signature needs a symmetric square matrix")
+    if rows == 0:
+        return SignatureReport(0, 0, 0)
+    p = charpoly(m)
+    zero = next(k for k, c in enumerate(p) if c != 0)
+    stripped = realpoly.trim(p[zero:])
+    total, nonpos = realpoly.count_roots(stripped)
+    if total != realpoly.degree(stripped):
+        raise ShapeError("characteristic polynomial of a symmetric matrix must be real-rooted")
+    return SignatureReport(total - nonpos, zero, nonpos)

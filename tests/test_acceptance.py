@@ -33,7 +33,6 @@ from bilor import (
     path_matrix,
     profile,
     signature,
-    signature_via_roots,
     substitute,
     verify_factorization,
 )
@@ -41,6 +40,7 @@ from bilor import linalg, toeplitz
 from bilor.cli import main
 from bilor.hessians import evaluate_hessian, hessian_family
 
+from oracles import signature_via_roots
 from support import (
     cauchy_matrix,
     random_form,

@@ -3,9 +3,13 @@
 import hashlib
 import json
 import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from bilor import realpoly
 from bilor.cli import main
 
 F4_ARGS = ["--form", "monomial: 0,1,1,1,0"]
@@ -142,6 +146,41 @@ def test_stable_roots_payload(capsys):
     code, doc = run_json(capsys, ["stable", "--form", "3: 1,1,1,1"])
     assert code == 0
     assert doc["roots"] == {"degree_drop": 0, "nonpositive_real": 3, "total_real": 3}
+
+
+@pytest.mark.parametrize("command", ["stable", "normally-stable"])
+def test_stability_commands_count_roots_once(capsys, monkeypatch, command):
+    calls = []
+    count_roots = realpoly.count_roots
+
+    def counted(poly):
+        calls.append(poly)
+        return count_roots(poly)
+
+    monkeypatch.setattr(realpoly, "count_roots", counted)
+    # (X + Y)^4, and the form whose companion it is
+    form = "monomial: 1, 4, 6, 4, 1" if command == "stable" else "4: 1, 4, 6, 4, 1"
+    code, doc = run_json(capsys, [command, "--form", form])
+    assert code == 0
+    assert doc["roots"] == {"degree_drop": 0, "nonpositive_real": 4, "total_real": 4}
+    assert len(calls) == 1
+
+
+def test_cli_import_loads_no_introspection_modules():
+    """A fresh `import bilor.cli`, in the environment of a benchmark child,
+    loads none of the modules that only class-building machinery needs.
+    `-S` keeps an installation's `.pth` start-up hooks, which may import
+    anything, out of the check."""
+    env = {
+        "PATH": "/usr/local/bin:/usr/bin:/bin",
+        "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"),
+        "PYTHONDONTWRITEBYTECODE": "1",
+    }
+    probe = ("import sys, bilor.cli; "
+             "print(*sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True,
+                          text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "\n", "")
 
 
 def test_approximate_first_step_frozen(capsys):

@@ -16,10 +16,10 @@ from bilor import (
     mixture_weights,
     reversal_det,
     signature,
-    signature_via_roots,
 )
 from bilor import linalg
 
+from oracles import signature_via_roots
 from support import rand_fraction, random_form, random_symmetric
 
 F4 = from_monomial_coeffs([0, 1, 1, 1, 0])
