@@ -40,6 +40,7 @@ from .forms import (
 from .hessians import (
     HessianFamily,
     SignatureReport,
+    catalecticant,
     evaluate_hessian,
     evaluate_mixed_hessian,
     hessian_family,

@@ -22,9 +22,11 @@ from .errors import (
 )
 from .forms import BivariateForm, CoordChange, LinearForm, derive, substitute
 from .hessians import (
+    catalecticant,
     evaluate_hessian,
     evaluate_mixed_hessian,
     hessian_family,
+    mixture_weights,
     reversal_det,
 )
 from .verdict import Frozen, HrrFailure, HrrVerdict, fmt_rat
@@ -80,15 +82,6 @@ class XYPoly(Frozen):
         e = self.degree
         return [(p, e - p, c) for p, c in enumerate(self.coeffs) if c != 0]
 
-    def times(self, other: "XYPoly") -> "XYPoly":
-        out = [Fraction(0)] * (self.degree + other.degree + 1)
-        for p, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            for q, e in enumerate(other.coeffs):
-                out[p + q] += c * e
-        return XYPoly(self.degree + other.degree, tuple(out))
-
     def text(self) -> str:
         parts = []
         e = self.degree
@@ -116,10 +109,6 @@ class XYPoly(Frozen):
         return " ".join(parts) if parts else "0"
 
 
-def linear_poly(ell: LinearForm) -> XYPoly:
-    return XYPoly(1, (ell.b, ell.a))
-
-
 def _primitive_normal(vec) -> tuple[Fraction, ...]:
     """Scale a rational vector to coprime integers, lex-leading entry positive."""
     (ints,), _ = linalg.integer_rows([vec])
@@ -135,14 +124,14 @@ def _primitive_normal(vec) -> tuple[Fraction, ...]:
 def _catalecticant_kernel(form: BivariateForm, e: int) -> list[list[Fraction]]:
     """Kernel of g -> g applied to the form, over degree-e operators.
 
-    Basis of the domain: x^p y^(e-p), p ascending.  Operators of degree above
-    the form's degree annihilate everything.
+    Basis of the domain: x^p y^(e-p), p ascending; it sends c to d!/(d-e)!
+    times (c_(m+p))_m, and the kernel ignores that factor.  Operators of
+    degree above the form's degree annihilate everything.
     """
     d = form.degree
     if e > d:
         return linalg.identity(e + 1)
-    cols = [derive(form, [(p, e - p, 1)]).coeffs for p in range(e + 1)]
-    return linalg.kernel_basis(linalg.transpose(cols))
+    return linalg.kernel_basis(catalecticant(form.coeffs, [1], d - e + 1, e + 1))
 
 
 def annihilator_generators(form: BivariateForm) -> tuple[XYPoly, XYPoly]:
@@ -218,12 +207,9 @@ def primitive_subspace(form, j: int, ell0: LinearForm, ells) -> PrimitiveBasis:
     expected = prof.hilbert[j] - (prof.hilbert[j - 1] if j >= 1 else 0)
     if j == 0:
         return PrimitiveBasis(0, ((Fraction(1),),), expected)
-    g = linear_poly(ell0)
-    for l in ells:
-        g = g.times(linear_poly(l))
-    units = linalg.identity(j + 1)
-    cols = [derive(form, g.times(XYPoly(j, tuple(u))).terms()).coeffs for u in units]
-    kernel = linalg.kernel_basis(linalg.transpose(cols))
+    # g * x^q y^(j-q) sends c to (sum_r g_r c_(m+r+q))_m, up to a nonzero factor
+    g = mixture_weights([ell0.point(), *(l.point() for l in ells)])
+    kernel = linalg.kernel_basis(catalecticant(form.coeffs, g, j, j + 1))
     return PrimitiveBasis(j, tuple(tuple(v) for v in kernel), expected)
 
 

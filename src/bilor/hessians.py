@@ -1,10 +1,10 @@
 """Higher Hessian matrices of a bivariate form, exact evaluation, and inertia.
 
 For a degree-d form with normalized coefficients c and an order i <= d/2, the
-order-i Hessian pencil is spanned by the constant matrices
-``H_m = (c_{m+p+q})_{0<=p,q<=i}``; evaluating the pencil at a point (a, b) or
-at a tuple of d-2i points gives the matrices whose determinant signs drive the
-Lefschetz and Hodge-Riemann checks in :mod:`bilor.algebra`.
+order-i Hessian at a point (a, b), or at a tuple of d-2i points, is the
+Hankel matrix ``(h_{p+q})_{0<=p,q<=i}`` of ``h_k = sum_m w_m c_{m+k}``, w the
+coefficients of the product of the linear forms; its determinant signs drive
+the Lefschetz and Hodge-Riemann checks in :mod:`bilor.algebra`.
 """
 
 from __future__ import annotations
@@ -20,14 +20,12 @@ Matrix = list[list[Fraction]]
 
 
 class HessianFamily(Frozen):
-    __slots__ = ("degree", "order", "base")
+    __slots__ = ("degree", "order", "coeffs")
 
-    def __init__(
-        self, degree: int, order: int, base: tuple[tuple[tuple[Fraction, ...], ...], ...]
-    ):
+    def __init__(self, degree: int, order: int, coeffs: tuple[Fraction, ...]):
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "coeffs", coeffs)
 
 
 class SignatureReport(Frozen):
@@ -50,25 +48,14 @@ def hessian_family(form, order: int) -> HessianFamily:
     d = form.degree
     if not 0 <= order <= d // 2:
         raise DegreeError(f"order {order} out of range for degree {d}")
-    c = form.coeffs
-    base = tuple(
-        tuple(tuple(c[m + p + q] for q in range(order + 1)) for p in range(order + 1))
-        for m in range(d - 2 * order + 1)
-    )
-    return HessianFamily(d, order, base)
+    return HessianFamily(d, order, form.coeffs)
 
 
-def _combine(family: HessianFamily, weights, scale) -> Matrix:
-    """scale * sum_m weights[m] * H_m over the base matrices of the family."""
-    size = family.order + 1
-    out = [[Fraction(0)] * size for _ in range(size)]
-    for w, hm in zip(weights, family.base):
-        if w != 0:
-            sw = scale * w
-            for p in range(size):
-                for q in range(size):
-                    out[p][q] += sw * hm[p][q]
-    return out
+def catalecticant(coeffs, weights, rows: int, cols: int) -> Matrix:
+    """The rows x cols Hankel matrix (h_{p+q}) of h_k = sum_m weights[m] * coeffs[m+k]."""
+    terms = [(m, w) for m, w in enumerate(weights) if w != 0]
+    h = [sum((w * coeffs[m + k] for m, w in terms), Fraction(0)) for k in range(rows + cols - 1)]
+    return [h[p : p + cols] for p in range(rows)]
 
 
 def evaluate_hessian(family: HessianFamily, a, b) -> Matrix:
@@ -76,8 +63,9 @@ def evaluate_hessian(family: HessianFamily, a, b) -> Matrix:
     a, b = Fraction(a), Fraction(b)
     d, i = family.degree, family.order
     e = d - 2 * i
-    weights = [comb(e, m) * a**m * b ** (e - m) for m in range(e + 1)]
-    return _combine(family, weights, perm(d, 2 * i))
+    scale = perm(d, 2 * i)
+    weights = [scale * comb(e, m) * a**m * b ** (e - m) for m in range(e + 1)]
+    return catalecticant(family.coeffs, weights, i + 1, i + 1)
 
 
 def mixture_weights(points) -> list[Fraction]:
@@ -99,7 +87,8 @@ def evaluate_mixed_hessian(family: HessianFamily, points) -> Matrix:
     pts = [(Fraction(a), Fraction(b)) for a, b in points]
     if len(pts) != e:
         raise ShapeError(f"order {i} of degree {d} needs {e} points, got {len(pts)}")
-    return _combine(family, mixture_weights(pts), factorial(d))
+    weights = [factorial(d) * w for w in mixture_weights(pts)]
+    return catalecticant(family.coeffs, weights, i + 1, i + 1)
 
 
 def reversal_det(matrix) -> Fraction:

@@ -33,11 +33,6 @@ def identity(n: int) -> Matrix:
     return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
 
-def transpose(rows) -> Matrix:
-    m, n = dims(rows)
-    return [[Fraction(rows[i][j]) for i in range(m)] for j in range(n)]
-
-
 def mat_mul(a, b) -> Matrix:
     ma, na = dims(a)
     mb, nb = dims(b)

@@ -1,13 +1,16 @@
 """Brute-force reference implementations the fast kernels are checked against."""
 
 from fractions import Fraction
+from math import comb, factorial, perm
 
 from bilor import (
     BivariateForm,
     NotSymmetricError,
     ShapeError,
     SignatureReport,
+    XYPoly,
     ZeroPolynomialError,
+    derive,
     from_monomial_coeffs,
 )
 from bilor import linalg, realpoly
@@ -315,3 +318,78 @@ def signature_via_roots(matrix) -> SignatureReport:
     if total != realpoly.degree(stripped):
         raise ShapeError("characteristic polynomial of a symmetric matrix must be real-rooted")
     return SignatureReport(total - nonpos, zero, nonpos)
+
+
+# The Hessian and catalecticant constructions that one Hankel builder,
+# `bilor.hessians.catalecticant`, replaced: a sum of stored base matrices, one
+# `derive` call per kernel column, and operator products built term by term.
+
+
+def _transpose(cols):
+    return [list(row) for row in zip(*cols)]
+
+
+def _base_sum(form, order, weights, scale):
+    """scale * sum_m weights[m] * H_m over the stored base matrices
+    H_m = (c_{m+p+q})_{0<=p,q<=order}."""
+    c, size = form.coeffs, order + 1
+    base = [
+        [[c[m + p + q] for q in range(size)] for p in range(size)]
+        for m in range(form.degree - 2 * order + 1)
+    ]
+    out = [[Fraction(0)] * size for _ in range(size)]
+    for w, hm in zip(weights, base):
+        if w != 0:
+            sw = scale * w
+            for p in range(size):
+                for q in range(size):
+                    out[p][q] += sw * hm[p][q]
+    return out
+
+
+def hessian_by_base_sum(form, order, a, b):
+    """Order-i Hessian at (a, b): perm(d, 2i) * sum_m C(e, m) a^m b^(e-m) H_m."""
+    a, b = Fraction(a), Fraction(b)
+    d = form.degree
+    e = d - 2 * order
+    weights = [comb(e, m) * a**m * b ** (e - m) for m in range(e + 1)]
+    return _base_sum(form, order, weights, perm(d, 2 * order))
+
+
+def mixed_hessian_by_base_sum(form, order, points):
+    """Mixed order-i Hessian: d! * sum_m w_m H_m, w the untrimmed coefficients
+    of prod (a_k z + b_k)."""
+    w = [Fraction(1)]
+    for a, b in points:
+        w = _conv(w, [Fraction(b), Fraction(a)])
+    return _base_sum(form, order, w, factorial(form.degree))
+
+
+def catalecticant_kernel_by_derive(form, e):
+    """Kernel of the degree-e operators acting on the form, one `derive` call
+    per monomial x^p y^(e-p) giving one column of the map."""
+    d = form.degree
+    if e > d:
+        return linalg.identity(e + 1)
+    cols = [derive(form, [(p, e - p, 1)]).coeffs for p in range(e + 1)]
+    return linalg.kernel_basis(_transpose(cols))
+
+
+def _times(f, g):
+    return XYPoly(f.degree + g.degree, tuple(_conv(list(f.coeffs), list(g.coeffs))))
+
+
+def primitive_vectors_by_operator_product(form, j, ell0, ells):
+    """Kernel of multiplication by ell0 * prod(ells) from degree j: the
+    operator product is built as an `XYPoly`, and each column is the
+    derivative of the form along the product with one monomial x^q y^(j-q)."""
+    if j == 0:
+        return ((Fraction(1),),)
+    g = XYPoly(1, (ell0.b, ell0.a))
+    for ell in ells:
+        g = _times(g, XYPoly(1, (ell.b, ell.a)))
+    cols = [
+        derive(form, _times(g, XYPoly(j, tuple(u))).terms()).coeffs
+        for u in linalg.identity(j + 1)
+    ]
+    return tuple(tuple(v) for v in linalg.kernel_basis(_transpose(cols)))

@@ -20,12 +20,13 @@ from bilor import (
     check_sl,
     derive,
     from_monomial_coeffs,
+    mixture_weights,
     monomial,
     primitive_subspace,
     profile,
     quotient_by_colon,
 )
-from bilor import BivariateForm
+from bilor import BivariateForm, realpoly
 
 from support import random_form, random_tn_form
 
@@ -132,14 +133,11 @@ def test_primitive_vectors_annihilate_through_the_product():
         ell0 = LinearForm(1, rng.randint(1, 4))
         ells = [LinearForm(rng.randint(1, 3), rng.randint(1, 3)) for _ in range(d - 2 * j)]
         basis = primitive_subspace(f, j, ell0, ells)
-        from bilor.algebra import linear_poly
-
-        g = linear_poly(ell0)
-        for l in ells:
-            g = g.times(linear_poly(l))
+        g = mixture_weights([ell0.point(), *(l.point() for l in ells)])
         for v in basis.vectors:
-            gv = g.times(XYPoly(j, tuple(v)))
-            assert derive(f, gv.terms()).is_zero
+            gv = realpoly.mul(g, list(v))
+            e = d - j + 1
+            assert derive(f, [(p, e - p, c) for p, c in enumerate(gv)]).is_zero
         checked += 1
     assert checked >= 10
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from bilor import realpoly
+from bilor import LinearForm, fmt_rat, hessians, parse_form, primitive_subspace, realpoly
 from bilor.cli import main
 
 F4_ARGS = ["--form", "monomial: 0,1,1,1,0"]
@@ -223,6 +223,31 @@ def test_quotient_data_commands(capsys):
     assert code == 0
     assert doc["basis"] == [["-1/2", "1"]]
     assert doc["matches"] is True
+
+
+def test_negative_values_attached_with_equals_sign(capsys):
+    """argparse reads `-1,2` after a space as a flag; `--at=-1,2` reaches the library."""
+    f4 = parse_form(F4_ARGS[1])[0]
+    matrix = hessians.evaluate_hessian(hessians.hessian_family(f4, 1), -1, 2)
+    code, doc = run_json(capsys, ["hessian", *F4_ARGS, "-i", "1", "--at=-1,2"])
+    assert code == 0
+    assert doc["points"] == [["-1", "2"]]
+    assert doc["matrix"] == [[fmt_rat(x) for x in row] for row in matrix]
+
+    c3 = parse_form("monomial: 1,0,0,1")[0]
+    basis = primitive_subspace(c3, 1, LinearForm(-1, 1), [LinearForm(1, 2)])
+    code, doc = run_json(
+        capsys,
+        ["primitive", "--form", "monomial: 1,0,0,1", "-j", "1", "--ell0=-1,1", "--ells", "1,2"],
+    )
+    assert code == 0
+    assert doc["basis"] == [[fmt_rat(x) for x in v] for v in basis.vectors]
+    assert doc["matches"] is basis.matches
+
+    with pytest.raises(SystemExit) as exc:
+        main(["hessian", *F4_ARGS, "-i", "1", "--at", "-1,2"])
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
 
 
 def test_error_payloads_exit_two(capsys):

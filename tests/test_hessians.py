@@ -26,10 +26,15 @@ F4 = from_monomial_coeffs([0, 1, 1, 1, 0])
 
 
 def test_family_base_matrices_are_hankel_windows():
+    """H_m = (c_{m+p+q}) is the mixed Hessian at m copies of (1, 0) and e-m
+    copies of (0, 1), divided by d!."""
     fam = hessian_family(F4, 1)
     c = F4.coeffs
-    assert len(fam.base) == F4.degree - 2 * 1 + 1
-    for m, mat in enumerate(fam.base):
+    d, e = F4.degree, F4.degree - 2 * 1
+    assert fam.coeffs == c
+    for m in range(e + 1):
+        mixed = evaluate_mixed_hessian(fam, [(1, 0)] * m + [(0, 1)] * (e - m))
+        mat = [[x / factorial(d) for x in row] for row in mixed]
         for p in range(2):
             for q in range(2):
                 assert mat[p][q] == c[m + p + q]
@@ -184,6 +189,6 @@ def test_signature_sylvester_invariance():
             g = [[rand_fraction(rng, -3, 3, 2) for _ in range(n)] for _ in range(n)]
             if linalg.det(g) != 0:
                 break
-        gm = linalg.mat_mul(linalg.mat_mul(linalg.transpose(g), m), g)
+        gm = linalg.mat_mul(linalg.mat_mul(list(zip(*g)), m), g)
         a, b = signature(m), signature(gm)
         assert (a.positive, a.zero, a.negative) == (b.positive, b.zero, b.negative)

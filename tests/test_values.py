@@ -95,7 +95,7 @@ class PrimitiveBasis:
 class HessianFamily:
     degree: int
     order: int
-    base: tuple
+    coeffs: tuple
 
 
 @dataclass(frozen=True)
@@ -162,7 +162,7 @@ CASES = [
     (AlgebraProfile, (4, (1, 2, 3, 2, 1), 3, 4)),
     (XYPoly, (2, (F(1), F(0), F(-1)))),
     (PrimitiveBasis, (1, ((F(1), F(-1)),), 1)),
-    (HessianFamily, (2, 1, (((F(1), F(2)), (F(2), F(3))),))),
+    (HessianFamily, (2, 1, (F(1), F(2), F(3)))),
     (SignatureReport, (2, 0, 1)),
     (LorentzClass, (4, -1, 2, ((FAIL, PASS),))),
     (ApproxStep, (FORM, ((F(1, 2), F(1, 32)),), F(1, 2), F(3))),
