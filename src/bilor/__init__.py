@@ -22,6 +22,7 @@ from .errors import (
     NotSymmetricError,
     PreconditionError,
     ShapeError,
+    UsageError,
     ZeroFormError,
     ZeroPolynomialError,
 )

@@ -150,18 +150,17 @@ def annihilator_generators(form: BivariateForm) -> tuple[XYPoly, XYPoly]:
 
     e2 = d + 2 - s
     k2 = _catalecticant_kernel(form, e2)
-    # reduce away the multiples of f1 of degree e2
-    zeros = [Fraction(0)] * (e2 - s)
-    shifts = [zeros[:a] + list(f1.coeffs) + zeros[a:] for a in range(e2 - s + 1)]
-    red, pivots = linalg.rref(shifts)
+    # reduce away the multiples of f1 of degree e2: shift a of f1 starts at
+    # column lo + a, so one pass over a zeroes columns lo .. lo + e2 - s
+    lo = next(k for k, c in enumerate(f1.coeffs) if c)
     f2 = None
     for vec in k2:
         v = list(vec)
-        for r, pc in enumerate(pivots):
-            if v[pc] != 0:
-                f = v[pc]
-                v = [a - f * b for a, b in zip(v, red[r])]
-        if any(x != 0 for x in v):
+        for a in range(e2 - s + 1):
+            t = v[lo + a] / f1.coeffs[lo]
+            for k in range(lo, s + 1):
+                v[a + k] -= t * f1.coeffs[k]
+        if any(v):
             f2 = XYPoly(e2, _primitive_normal(v))
             break
     if f2 is None:

@@ -21,7 +21,7 @@ import sys
 from fractions import Fraction
 
 from . import algebra, hessians, linalg, lorentzian, paths, stability, toeplitz
-from .errors import BilorError, FormatError
+from .errors import BilorError, FormatError, UsageError
 from .forms import LinearForm, format_form, from_monomial_coeffs, parse_form, substitute
 from .verdict import fmt_rat, parse_rational
 
@@ -363,8 +363,13 @@ COMMANDS = (
 PUBLIC_COMMANDS = ",".join(name for name, help_text, _, _ in COMMANDS if help_text is not None)
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # subparsers are built from the same class
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bilor",
         description="Exact positivity and Lorentzian-order tests for bivariate forms.",
     )
@@ -385,9 +390,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    payload = {"command": args.command}
     try:
+        args = build_parser().parse_args(argv)
+        payload = {"command": args.command}
         args.handler(args, payload)
     except BilorError as exc:
         sys.stdout.write(_json_line({"error": {"code": exc.code, "message": str(exc)}}))

@@ -17,6 +17,12 @@ class FormatError(BilorError):
     code = "format"
 
 
+class UsageError(BilorError):
+    """Command line arguments that the parser refuses."""
+
+    code = "usage"
+
+
 class ShapeError(BilorError):
     """Dimension mismatch or a matrix that is not what it claims to be."""
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial, perm
 
-from . import linalg, realpoly
+from . import linalg
 from .errors import DegreeError, NotSymmetricError, ShapeError
 from .verdict import Frozen
 
@@ -69,10 +69,14 @@ def evaluate_hessian(family: HessianFamily, a, b) -> Matrix:
 
 
 def mixture_weights(points) -> list[Fraction]:
-    """Coefficients of prod_k (a_k z + b_k), ascending in z."""
+    """Coefficients of prod_k (a_k z + b_k), ascending in z, trailing zeros
+    trimmed down to [0]."""
     w = [Fraction(1)]
     for a, b in points:
-        w = realpoly.mul(w, [Fraction(b), Fraction(a)]) or [Fraction(0)]
+        a, b = Fraction(a), Fraction(b)
+        w = [b * x + a * y for x, y in zip(w + [0], [0] + w)]
+        while len(w) > 1 and not w[-1]:
+            w.pop()
     return w
 
 

@@ -1,9 +1,9 @@
 """Exact dense linear algebra over the rationals.
 
 Matrices are plain lists of row lists with ``Fraction`` (or ``int``) entries.
-Determinants and ranks go through fraction-free Bareiss elimination on an
-integer rescaling of the input, so no floating point and no ``Fraction``
-arithmetic is involved; only `rref` and `kernel_basis` work over ``Fraction``.
+Determinants (`int_det`), ranks and kernels (one forward elimination,
+`int_echelon`) go through fraction-free Bareiss elimination on an integer
+rescaling of the input; only the kernel back-substitution uses ``Fraction``.
 """
 
 from __future__ import annotations
@@ -95,13 +95,16 @@ def int_det(rows: list[list[int]]) -> int:
     return sign * m[-1][-1]
 
 
-def int_rank(rows: list[list[int]]) -> int:
-    """Rank of an integer matrix by fraction-free (Bareiss) forward
-    elimination, in place.  A zero pivot swaps rows and a pivotless column is
-    skipped; every lower row is rescaled, even with a zero multiplier, so each
-    division by the previous pivot is exact by Sylvester's identity."""
-    r, prev = 0, 1
+def int_echelon(rows: list[list[int]]) -> list[int]:
+    """Fraction-free (Bareiss) forward elimination of an integer matrix, in
+    place; returns the pivot columns.  A zero pivot swaps rows, a pivotless
+    column is skipped, and every lower row is rescaled, even with a zero
+    multiplier, so each division by the previous pivot is exact (Sylvester's
+    identity).  Entries of row r left of pivots[r] are stale: never read them.
+    """
+    pivots, prev = [], 1
     for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
         pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pr is None:
             continue
@@ -111,8 +114,9 @@ def int_rank(rows: list[list[int]]) -> int:
             f = row[c]
             for j in range(c + 1, len(top)):
                 row[j] = (row[j] * piv - f * top[j]) // prev
-        prev, r = piv, r + 1
-    return r
+        prev = piv
+        pivots.append(c)
+    return pivots
 
 
 def det(rows) -> Fraction:
@@ -128,50 +132,28 @@ def minor(rows, row_idx, col_idx) -> Fraction:
     return det(sub)
 
 
-def rref(rows) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form; returns (reduced matrix, pivot columns)."""
-    m = copy_rows(rows)
-    nrows, ncols = dims(m)
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pr = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    return m, pivots
-
-
 def rank(rows) -> int:
-    """Exact rank by fraction-free integer elimination (`int_rank`), row scales cleared."""
+    """Exact rank by fraction-free integer elimination, row scales cleared."""
     dims(rows)
-    return int_rank(integer_rows(rows)[0])
+    return len(int_echelon(integer_rows(rows)[0]))
 
 
 def kernel_basis(rows) -> list[list[Fraction]]:
     """Basis of the right kernel {v : rows @ v = 0}, one vector per free column.
 
-    Deterministic: free columns are taken in increasing order and the free
-    coordinate is set to 1.
+    Deterministic: free columns are taken in increasing order, the free
+    coordinate is set to 1 and the other free ones to 0.  Row scales do not
+    change the kernel, so the pivot coordinates are back-substituted through
+    the `int_echelon` form of the cleared rows, from the last pivot row up.
     """
-    m, n = dims(rows)
-    red, pivots = rref(rows)
-    free = [c for c in range(n) if c not in pivots]
+    n = dims(rows)[1]
+    echelon = integer_rows(rows)[0]
+    pivots = int_echelon(echelon)
     basis = []
-    for fc in free:
+    for fc in (c for c in range(n) if c not in pivots):
         v = [Fraction(0)] * n
         v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
+        for pc, row in reversed([*zip(pivots, echelon)]):
+            v[pc] = -sum((row[j] * v[j] for j in range(pc + 1, n) if v[j]), Fraction(0)) / row[pc]
         basis.append(v)
     return basis

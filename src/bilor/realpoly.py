@@ -36,18 +36,6 @@ def is_zero(p: Poly) -> bool:
     return all(x == 0 for x in p)
 
 
-def mul(p: Poly, q: Poly) -> Poly:
-    if not p or not q:
-        return []
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return trim(out)
-
-
 def _primitive(p: list[int]) -> list[int]:
     g = gcd(*p)
     return [x // g for x in p]

@@ -207,7 +207,7 @@ def is_totally_nonnegative(matrix, cap: int | None = None) -> Verdict:
 def rank(matrix) -> int:
     """Exact rank; a Toeplitz window is cleared once, never made dense."""
     if isinstance(matrix, ToeplitzMatrix):
-        return linalg.int_rank(_cleared(matrix)[0])
+        return len(linalg.int_echelon(_cleared(matrix)[0]))
     return linalg.rank(matrix)
 
 

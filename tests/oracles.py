@@ -10,10 +10,12 @@ from bilor import (
     SignatureReport,
     XYPoly,
     ZeroPolynomialError,
+    catalecticant,
     derive,
     from_monomial_coeffs,
+    profile,
 )
-from bilor import linalg, realpoly
+from bilor import algebra, linalg, realpoly
 
 
 def _conv(u, v):
@@ -393,3 +395,71 @@ def primitive_vectors_by_operator_product(form, j, ell0, ells):
         for u in linalg.identity(j + 1)
     ]
     return tuple(tuple(v) for v in linalg.kernel_basis(_transpose(cols)))
+
+
+def rref(rows):
+    """Reduced row echelon form; returns (reduced matrix, pivot columns)."""
+    m = linalg.copy_rows(rows)
+    nrows, ncols = linalg.dims(m)
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pr = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        pv = m[r][c]
+        m[r] = [x / pv for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def kernel_basis_by_rref(rows):
+    """Right kernel read off the Gauss-Jordan form over Fractions: one vector
+    per free column, free coordinate 1, pivot coordinates -red[r][fc]."""
+    _, n = linalg.dims(rows)
+    red, pivots = rref(rows)
+    basis = []
+    for fc in (c for c in range(n) if c not in pivots):
+        v = [Fraction(0)] * n
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][fc]
+        basis.append(v)
+    return basis
+
+
+def annihilator_generators_by_rref(form):
+    """The two annihilator generators with Gauss-Jordan kernels, and the
+    second one reduced modulo the RREF of the matrix of shifts of f1."""
+    d, s = form.degree, profile(form).sperner
+
+    def kernel(e):
+        if e > d:
+            return linalg.identity(e + 1)
+        return kernel_basis_by_rref(catalecticant(form.coeffs, [1], d - e + 1, e + 1))
+
+    k1 = kernel(s)
+    if not k1:
+        raise ShapeError("empty kernel where a generator was expected")
+    f1 = XYPoly(s, algebra._primitive_normal(k1[0]))
+    e2 = d + 2 - s
+    zeros = [Fraction(0)] * (e2 - s)
+    shifts = [zeros[:a] + list(f1.coeffs) + zeros[a:] for a in range(e2 - s + 1)]
+    red, pivots = rref(shifts)
+    for vec in kernel(e2):
+        v = list(vec)
+        for r, pc in enumerate(pivots):
+            if v[pc] != 0:
+                f = v[pc]
+                v = [a - f * b for a, b in zip(v, red[r])]
+        if any(x != 0 for x in v):
+            return f1, XYPoly(e2, algebra._primitive_normal(v))
+    raise ShapeError("annihilator is not a complete intersection (unexpected)")

@@ -1,6 +1,6 @@
 """One Hankel builder for every Hessian and catalecticant, checked against the
-constructions it replaced (base-matrix sums, one `derive` call per column and
-operator products) in `oracles`."""
+constructions it replaced (base-matrix sums, one `derive` call per column,
+operator products and Gauss-Jordan reduction) in `oracles`."""
 
 from fractions import Fraction
 from random import Random
@@ -114,6 +114,19 @@ def test_annihilator_generators_match_derive_per_column(monkeypatch):
         assert new == old
         checked += new[0] == "ok"
     assert checked >= 190
+
+
+def test_annihilator_generators_match_the_rref_reduction():
+    """Gauss-Jordan kernels and the second generator reduced modulo the RREF
+    of the shifts of f1 give the same pair, down to `repr`."""
+    checked = shifted = 0
+    for f in FORMS:
+        new = _outcome(annihilator_generators, f)
+        assert new == _outcome(oracles.annihilator_generators_by_rref, f)
+        if new[0] == "ok":
+            checked += 1
+            shifted += annihilator_generators(f)[0].coeffs[0] == 0  # f1 has lo > 0
+    assert checked >= 190 and shifted >= 20
 
 
 def test_primitive_bases_match_the_operator_product():

@@ -244,10 +244,23 @@ def test_negative_values_attached_with_equals_sign(capsys):
     assert doc["basis"] == [[fmt_rat(x) for x in v] for v in basis.vectors]
     assert doc["matches"] is basis.matches
 
+    code = main(["hessian", *F4_ARGS, "-i", "1", "--at", "-1,2"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == '{"error":{"code":"usage","message":"argument --at: expected one argument"}}\n'
+    assert err == ""
+
+
+def test_usage_errors_end_in_the_json_payload(capsys):
+    for argv in ([], ["--format", "table"], ["nope"], ["hilbert", "--form", "1,2,1", "--bogus"]):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 2 and err == "", argv
+        assert json.loads(out)["error"]["code"] == "usage", argv
     with pytest.raises(SystemExit) as exc:
-        main(["hessian", *F4_ARGS, "-i", "1", "--at", "-1,2"])
-    assert exc.value.code == 2
-    assert "expected one argument" in capsys.readouterr().err
+        main(["hilbert", "--help"])
+    assert exc.value.code == 0
+    assert "--form-file" in capsys.readouterr().out
 
 
 def test_error_payloads_exit_two(capsys):

@@ -1,9 +1,11 @@
 """Derandomized fuzzing of the command line's error surface.
 
-Every generated invocation attaches its values with `=` (so a value such as
-`-1,2` is never read as a flag) and keeps forms at degree 8 or less.  Each one
-must end in exit 0, 1 or 2 with exactly one JSON line on stdout, and no
-exception may escape `main`.
+Generated invocations attach their values with `=` and keep forms at degree 8
+or less.  Some are then broken at parse time: one value moves after a space
+with a leading `-` (so argparse reads it as a flag), an unknown flag is
+inserted, or one argument is dropped, a required flag among them.  Each one
+must end in exit 0, 1 or 2 with exactly one JSON line on stdout and nothing on
+stderr, and no exception may escape `main`.
 """
 
 import io
@@ -77,6 +79,22 @@ def quotient_argv(command):
     return st.builds(lambda f: [command, f"--form={f[1]}"], form_and_order())
 
 
+@st.composite
+def mangled(draw, argvs):
+    """A draw from `argvs`, three times in eight broken at parse time."""
+    argv = draw(argvs)
+    how = draw(st.sampled_from(["keep"] * 5 + ["dash", "unknown", "drop"]))
+    k = draw(st.integers(1, len(argv) - 1))
+    if how == "dash":
+        flag, _, value = argv[k].partition("=")
+        argv[k : k + 1] = [flag, "-" + value]
+    elif how == "unknown":
+        argv.insert(k, "--no-such-flag")
+    elif how == "drop":
+        del argv[k]
+    return argv
+
+
 def _check(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
@@ -90,24 +108,24 @@ def _check(argv):
 
 
 @FUZZ
-@given(hessian_argv())
+@given(mangled(hessian_argv()))
 def test_fuzz_hessian(argv):
     _check(argv)
 
 
 @FUZZ
-@given(primitive_argv())
+@given(mangled(primitive_argv()))
 def test_fuzz_primitive(argv):
     _check(argv)
 
 
 @FUZZ
-@given(quotient_argv("annihilator"))
+@given(mangled(quotient_argv("annihilator")))
 def test_fuzz_annihilator(argv):
     _check(argv)
 
 
 @FUZZ
-@given(quotient_argv("hilbert"))
+@given(mangled(quotient_argv("hilbert")))
 def test_fuzz_hilbert(argv):
     _check(argv)

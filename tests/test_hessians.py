@@ -61,6 +61,10 @@ def test_mixture_weights_are_product_coefficients():
     w = mixture_weights([(1, 2), (3, 1)])
     assert list(w) == [2, 7, 3]  # (z + 2)(3z + 1) = 3z^2 + 7z + 2
     assert list(mixture_weights([])) == [1]
+    # a factor with a = 0 drops the top coefficient; a zero product is [0]
+    assert list(mixture_weights([(0, 0)])) == [0]
+    assert list(mixture_weights([(0, 2), (1, 1)])) == [2, 2]
+    assert all(type(x) is Fraction for x in mixture_weights([(0, 0)]) + mixture_weights([]))
 
 
 def test_mixed_hessian_frozen_example():

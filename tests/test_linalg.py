@@ -9,6 +9,7 @@ import pytest
 from bilor import ShapeError
 from bilor import linalg
 
+import oracles
 from oracles import charpoly
 from support import random_matrix, random_symmetric
 
@@ -76,7 +77,7 @@ def test_minor():
 def test_rank_and_rref():
     m = [[1, 2, 3], [2, 4, 6], [1, 1, 1]]
     assert linalg.rank(m) == 2
-    reduced, pivots = linalg.rref([row[:] for row in m])
+    reduced, pivots = oracles.rref([row[:] for row in m])
     assert pivots == [0, 1]
     assert reduced[0][:2] == [1, 0] and reduced[1][:2] == [0, 1]
     assert linalg.rank([[0, 0], [0, 0]]) == 0
@@ -106,7 +107,7 @@ def test_rank_matches_the_pivots_of_rref():
     for m in _rank_cases(rng):
         snapshot = [row[:] for row in m]
         r = linalg.rank(m)
-        assert r == len(linalg.rref(m)[1]), m
+        assert r == len(oracles.rref(m)[1]), m
         assert m == snapshot  # the input is not touched
         cases += 1
         deficient += r < min(len(m), len(m[0]))
@@ -117,11 +118,27 @@ def test_rank_matches_the_pivots_of_rref():
 
 
 def test_int_rank_skips_pivotless_columns():
-    assert linalg.int_rank([[0, 2, 4], [0, 1, 2], [0, 0, 3]]) == 2
-    assert linalg.int_rank([[0, 0, 5, 1], [0, 0, 10, 2], [3, 0, 0, 7]]) == 2
-    assert linalg.int_rank([[2, 3], [4, 6], [0, 0], [1, 1]]) == 2
-    assert linalg.int_rank([]) == 0
+    assert linalg.int_echelon([[0, 2, 4], [0, 1, 2], [0, 0, 3]]) == [1, 2]
+    assert linalg.int_echelon([[0, 0, 5, 1], [0, 0, 10, 2], [3, 0, 0, 7]]) == [0, 2]
+    assert linalg.int_echelon([[2, 3], [4, 6], [0, 0], [1, 1]]) == [0, 1]
+    assert linalg.int_echelon([]) == []
     assert linalg.rank([[]]) == 0
+
+
+def test_kernel_basis_matches_gauss_jordan():
+    """The integer echelon and back-substitution give the Gauss-Jordan kernel
+    vectors exactly, and leave the input alone."""
+    rng = Random(31)
+    cases = nonempty = 0
+    for m in _rank_cases(rng):
+        snapshot = [row[:] for row in m]
+        kernel = linalg.kernel_basis(m)
+        assert repr(kernel) == repr(oracles.kernel_basis_by_rref(m)), m
+        assert m == snapshot
+        cases += 1
+        nonempty += bool(kernel)
+    assert cases >= 2000
+    assert nonempty >= 1000
 
 
 def test_kernel_basis_annihilates():

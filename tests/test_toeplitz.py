@@ -23,6 +23,7 @@ from bilor import (
 )
 from bilor import algebra, linalg, toeplitz
 
+import oracles
 from support import (
     cauchy_matrix,
     elementary_coeffs,
@@ -276,7 +277,7 @@ def test_toeplitz_rank_matches_the_dense_rank():
         for i in range(f.degree // 2 + 1):
             w = toeplitz.from_form(f, i)
             r = toeplitz.rank(w)
-            assert r == linalg.rank(w.to_dense()) == len(linalg.rref(w.to_dense())[1]), (f, i)
+            assert r == linalg.rank(w.to_dense()) == len(oracles.rref(w.to_dense())[1]), (f, i)
             windows += 1
             deficient += r < w.rows
     assert windows >= 200
@@ -289,7 +290,7 @@ def test_rank_stays_off_rref_and_the_dense_window(monkeypatch):
     def refuse(*args):
         raise AssertionError("rank took the Fraction path")
 
-    monkeypatch.setattr(linalg, "rref", refuse)
+    assert not hasattr(linalg, "rref")
     monkeypatch.setattr(toeplitz.ToeplitzMatrix, "to_dense", refuse)
     rng = Random(5)
     for d in (1, 4, 7, 12):
