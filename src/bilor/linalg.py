@@ -2,8 +2,9 @@
 
 Matrices are plain lists of row lists with ``Fraction`` (or ``int``) entries.
 Determinants (`int_det`), ranks and kernels (one forward elimination,
-`int_echelon`) go through fraction-free Bareiss elimination on an integer
-rescaling of the input; only the kernel back-substitution uses ``Fraction``.
+`int_echelon`) work on an integer rescaling of the input: determinants up
+to 4x4 in closed form, everything larger by fraction-free Bareiss
+elimination; only the kernel back-substitution uses ``Fraction``.
 """
 
 from __future__ import annotations
@@ -68,10 +69,32 @@ def integer_rows(rows) -> tuple[list[list[int]], list[int]]:
 
 
 def int_det(rows: list[list[int]]) -> int:
-    """Bareiss determinant of a square integer matrix (input is copied)."""
+    """Determinant of a square integer matrix; the input is never changed.
+
+    Sizes 0-4 are closed forms read straight off the rows (tuples work as
+    well as lists): 1, the entry, ad - bc, first-row cofactors, and for 4x4
+    the Laplace expansion along the first two rows, six products of 2x2
+    minors.  Larger sizes run Bareiss elimination on a copy.
+    """
     n = len(rows)
-    if n == 0:
-        return 1
+    if n < 3:
+        if n == 2:
+            (a, b), (c, d) = rows
+            return a * d - b * c
+        return rows[0][0] if n else 1
+    if n == 3:
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    if n == 4:
+        (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = rows
+        return (
+            (a0 * b1 - a1 * b0) * (c2 * d3 - c3 * d2)
+            - (a0 * b2 - a2 * b0) * (c1 * d3 - c3 * d1)
+            + (a0 * b3 - a3 * b0) * (c1 * d2 - c2 * d1)
+            + (a1 * b2 - a2 * b1) * (c0 * d3 - c3 * d0)
+            - (a1 * b3 - a3 * b1) * (c0 * d2 - c2 * d0)
+            + (a2 * b3 - a3 * b2) * (c0 * d1 - c1 * d0)
+        )
     m = [list(row) for row in rows]
     sign = 1
     prev = 1
@@ -125,11 +148,6 @@ def det(rows) -> Fraction:
         raise ShapeError(f"determinant of non-square {m}x{n} matrix")
     irows, scales = integer_rows(rows)
     return Fraction(int_det(irows), prod(scales))
-
-
-def minor(rows, row_idx, col_idx) -> Fraction:
-    sub = [[rows[i][j] for j in col_idx] for i in row_idx]
-    return det(sub)
 
 
 def rank(rows) -> int:

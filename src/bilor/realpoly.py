@@ -32,10 +32,6 @@ def degree(p: Poly) -> int:
     return -1
 
 
-def is_zero(p: Poly) -> bool:
-    return all(x == 0 for x in p)
-
-
 def _primitive(p: list[int]) -> list[int]:
     g = gcd(*p)
     return [x // g for x in p]

